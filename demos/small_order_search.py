@@ -6,7 +6,7 @@ bipartite shape only starts to take over around n = 8.  The asymptotic
 statement is invisible down here, which is exactly the point of printing it.
 
 Usage: python3 demos/small_order_search.py [N_MAX]
-N_MAX defaults to 7; 8 adds roughly half a minute of search time.
+N_MAX defaults to 7; 8 adds about a second of search time.
 """
 
 import sys

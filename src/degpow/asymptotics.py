@@ -5,7 +5,7 @@ c*n + b with rational coefficients.  Expanding sum(count * degree**p) by the
 binomial theorem gives an exact polynomial in n of degree p + 1 over the
 rationals, so leading-coefficient identities and dominance comparisons are
 decided by exact arithmetic, never by floating point.  Floats appear in one
-place only: the golden-section optimizer for the split constant c(p).
+place only: the bisection optimizer for the split constant c(p).
 
 The family catalog covers the two rewired hub constructions (gprime, gstar),
 complete bipartite splits (kbip, t2even, t2odd), and the bounding families
@@ -29,7 +29,9 @@ RationalLike = Union[int, str, float, Fraction]
 
 def _frac(x: RationalLike) -> Fraction:
     if isinstance(x, float):
-        # floats arrive from CLI flags; take their exact binary value
+        # a float such as a=0.6 from the Python API means the short fraction
+        # it was typed as: take the nearest one with denominator <= 10**12
+        # (3/5), not the float's binary expansion
         return Fraction(x).limit_denominator(10 ** 12)
     return Fraction(x)
 
@@ -423,13 +425,14 @@ def split_objective(x, p: int):
 def optimize_c(p: int, tol: float = 1e-9) -> float:
     """argmax of the split objective on [1/2, 1].
 
-    Dense grid bracketing followed by golden-section refinement, then an
-    explicit comparison against the endpoint x = 1/2 (the maximum sits there
-    for p <= 3 and moves interior from p = 4 on).
+    Dense grid bracketing followed by bisection on the sign of the
+    derivative f'(x) = (1-x)^p - p x (1-x)^(p-1) + p x^(p-1) (1-x) - x^p,
+    then an explicit comparison against the endpoint x = 1/2 (the maximum
+    sits there for p <= 3 and moves interior from p = 4 on).
 
-    tol controls the final bracket width.  Near the maximum the float64
-    objective is flat to about 1e-8 in x, so requests below that tighten the
-    bracket without adding true argmax accuracy.
+    tol bounds the final bracket width, so the argmax is placed to within
+    tol / 2.  The interior maximum is a simple root of f', whose sign float64
+    resolves to within a few ulps, so every tol down to about 1e-15 is met.
     """
     if p < 1:
         raise ValueError(f"exponent p must be >= 1, got {p}")
@@ -438,27 +441,22 @@ def optimize_c(p: int, tol: float = 1e-9) -> float:
     xs = np.linspace(0.5, 1.0, 4097)
     ys = xs * (1 - xs) ** p + xs ** p * (1 - xs)
     i = int(np.argmax(ys))
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, len(xs) - 1)]
-    inv_phi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c1 = b - inv_phi * (b - a)
-    c2 = a + inv_phi * (b - a)
-    f1 = split_objective(c1, p)
-    f2 = split_objective(c2, p)
-    while b - a > tol:
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + inv_phi * (b - a)
-            f2 = split_objective(c2, p)
+    lo = float(xs[max(i - 1, 0)])
+    hi = float(xs[min(i + 1, len(xs) - 1)])
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if not lo < mid < hi:
+            break  # adjacent floats
+        rest = 1 - mid
+        slope = rest ** p - p * mid * rest ** (p - 1) + p * mid ** (p - 1) * rest - mid ** p
+        if slope > 0:
+            lo = mid
         else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - inv_phi * (b - a)
-            f1 = split_objective(c1, p)
-    interior = (a + b) / 2
+            hi = mid
+    interior = (lo + hi) / 2
     if split_objective(0.5, p) >= split_objective(interior, p):
         return 0.5
-    return float(interior)
+    return interior
 
 
 def best_biclique_split(n: int, p: int) -> tuple[int, int]:

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import astuple
+from dataclasses import asdict, astuple
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -21,7 +21,7 @@ from .asymptotics import optimize_c, split_objective
 from .claims import CLAIMS, run_all, run_claim
 from .constructions import _SPEC_SHAPES, build, degree_profile, parse_spec, spec_name
 from .graphs import CapacityError, to_graph6
-from .search import classification_report, search_extremal
+from .search import SearchStats, classification_report, search_extremal
 
 
 def _canonical_spec(spec) -> str:
@@ -64,6 +64,14 @@ def _p_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+_STATS_HELP = "print search counters and phase times as one JSON line on stderr"
+
+
+def _emit_stats(stats: Optional[SearchStats]) -> None:
+    if stats is not None:
+        print(json.dumps(asdict(stats)), file=sys.stderr)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="degpow",
@@ -86,6 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--p", type=int, required=True)
     p_search.add_argument("--workers", type=int, default=1)
     p_search.add_argument("--force", action="store_true")
+    p_search.add_argument("--stats", action="store_true", help=_STATS_HELP)
     p_search.add_argument("--out", default=None)
 
     p_opt = sub.add_parser("optimize-c", help="the split constant c(p) as a CSV table")
@@ -111,6 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--p", type=int, nargs="+", default=[1, 2, 3])
     p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--force", action="store_true")
+    p_sweep.add_argument("--stats", action="store_true", help=_STATS_HELP)
     p_sweep.add_argument("--out", default=None)
 
     return parser
@@ -149,8 +159,11 @@ def _cmd_epow(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    stats = SearchStats() if args.stats else None
     start = time.perf_counter()
-    result = search_extremal(args.n, [args.p], workers=args.workers, force=args.force)[args.p]
+    result = search_extremal(
+        args.n, [args.p], workers=args.workers, force=args.force, stats=stats
+    )[args.p]
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     payload = {
         "n": result.n,
@@ -168,6 +181,7 @@ def _cmd_search(args) -> int:
         "elapsed_ms": elapsed_ms,
     }
     _emit_json(payload, args.out)
+    _emit_stats(stats)
     return 0
 
 
@@ -207,12 +221,14 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.n_min < 0 or args.n_min > args.n_max:
         raise ValueError(f"need 0 <= n-min <= n-max, got {args.n_min}..{args.n_max}")
+    stats = SearchStats() if args.stats else None
     start = time.perf_counter()
     report = classification_report(
         range(args.n_min, args.n_max + 1),
         args.p,
         workers=args.workers,
         force=args.force,
+        stats=stats,
     )
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     payload = {
@@ -223,6 +239,7 @@ def _cmd_sweep(args) -> int:
         "elapsed_ms": elapsed_ms,
     }
     _emit_json(payload, args.out)
+    _emit_stats(stats)
     return 0
 
 

@@ -7,15 +7,25 @@ exactly once.  Labeled counts grow fast (9,369,687 at n = 8), which is why
 the leaf work is all bitmask arithmetic on raw adjacency rows; the SmallGraph
 API appears only at the edges of the module.
 
-Parallel search splits the decision tree on the first PREFIX_DEPTH edges;
-each worker owns a contiguous block of valid prefixes and results are merged
-in prefix order, so worker count never changes the outcome.  DEGPOW_THREADS
-caps the worker count from the environment.
+The extremal search splits the decision tree on the induced graph of the
+first k = min(PREFIX_ORDER, n - 2) vertices, whose k(k-1)/2 edges the edge
+order decides first.  Every later edge touches a vertex >= k, so a
+permutation of {0..k-1} maps the completions of one prefix one-to-one onto
+the completions of its image, keeping e_p, C5-freeness and the isomorphism
+class.  The search therefore walks one prefix per S_k orbit (80 orbits for
+the 13,922 prefixes at k = 6) and weights its leaves by the orbit size, so
+`visited` is still the exact labeled count.  With several workers the
+representatives are the units of work and results are merged in
+representative order, so worker count never changes the outcome.
+DEGPOW_THREADS caps the worker count from the environment.  The enumerator
+and the validator sweeps stay full labeled walks.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
@@ -34,7 +44,10 @@ from .graphs import (
 )
 
 MAX_SEARCH_ORDER = 9
-PREFIX_DEPTH = 12
+# the extremal search splits on the first min(PREFIX_ORDER, n - 2) vertices;
+# grouping the 13,922 C5-free prefixes on 6 vertices takes the 720
+# permutations of S_6 and leaves 80 subtrees to walk
+PREFIX_ORDER = 6
 
 # one predicate, two readings: on an existing edge it finds a 5-cycle through
 # it; on a missing edge it answers whether adding the edge would close one
@@ -169,6 +182,28 @@ def _prefixes(n: int, edges, depth: int) -> list[int]:
     return found
 
 
+def _prefix_orbits(n: int, edges, k: int) -> list[tuple[int, int]]:
+    """(representative, orbit size) for each S_k orbit of the C5-free prefixes
+    on vertices 0..k-1; the representative is the orbit's first prefix in
+    _prefixes order."""
+    depth = k * (k - 1) // 2
+    index = {e: t for t, e in enumerate(edges[:depth])}
+    images = [
+        [1 << index[min(pi[u], pi[v]), max(pi[u], pi[v])] for u, v in edges[:depth]]
+        for pi in itertools.permutations(range(k))
+    ]
+    seen: set[int] = set()
+    orbits = []
+    for mask in _prefixes(n, edges, depth):
+        if mask in seen:
+            continue
+        bits = [t for t in range(depth) if (mask >> t) & 1]
+        orbit = {sum(map(image.__getitem__, bits)) for image in images}
+        seen |= orbit
+        orbits.append((mask, len(orbit)))
+    return orbits
+
+
 def _subtree_search(n: int, ps: Sequence[int], depth: int, mask: int):
     edges = _edge_order(n)
     rows = [0] * n
@@ -183,11 +218,11 @@ def _subtree_search(n: int, ps: Sequence[int], depth: int, mask: int):
     tables = [(p, [d ** p for d in range(n)]) for p in ps]
     best = {p: -1 for p in ps}
     ties: dict[int, list[tuple[int, ...]]] = {p: [] for p in ps}
-    visited = 0
+    leaves = 0
 
     def leaf(rows, deg):
-        nonlocal visited
-        visited += 1
+        nonlocal leaves
+        leaves += 1
         for p, table in tables:
             s = 0
             for d in deg:
@@ -200,12 +235,41 @@ def _subtree_search(n: int, ps: Sequence[int], depth: int, mask: int):
                     ties[p].append(tuple(rows))
 
     _run_tree(n, edges, depth, rows, deg, leaf)
-    return visited, best, ties
+    return leaves, best, ties
 
 
 def _search_worker(payload):
-    n, ps, depth, mask = payload
-    return _subtree_search(n, ps, depth, mask)
+    return _subtree_search(*payload)
+
+
+def _fan_out(pool, payloads: list) -> list:
+    # the sparsest prefixes (payload[3] is the prefix mask) own the largest
+    # subtrees and come last in DFS order; handing them out first keeps the
+    # workers evenly loaded
+    order = sorted(range(len(payloads)), key=lambda i: payloads[i][3].bit_count())
+    parts = [None] * len(payloads)
+    for i, part in zip(order, pool.imap(_search_worker, [payloads[i] for i in order])):
+        parts[i] = part
+    return parts
+
+
+@dataclass(slots=True)
+class SearchStats:
+    """What search_extremal did, summed over the calls it is handed to.
+
+    Kept apart from SearchResult so that payloads stay byte-reproducible;
+    the CLI prints it on stderr under --stats.
+    """
+
+    labeled_prefixes: int = 0
+    orbit_representatives: int = 0
+    leaves_walked: int = 0
+    labeled_graphs: int = 0
+    ties_relabeled: int = 0
+    classes: int = 0
+    orbit_grouping_s: float = 0.0
+    walk_s: float = 0.0
+    merge_dedup_s: float = 0.0
 
 
 def search_extremal(
@@ -215,17 +279,24 @@ def search_extremal(
     workers: int = 1,
     force: bool = False,
     edge_maximal_only: bool = False,
+    stats: Optional[SearchStats] = None,
+    _pool=None,
 ) -> dict[int, SearchResult]:
     """Exact max of e_p over labeled C5-free graphs, for every p in ps at once.
 
-    Returns per-p SearchResults carrying the value, the visit count, and the
-    deduplicated isomorphism classes of maximizers (canonical relabelings,
-    sorted by certificate, so output order is independent of worker count).
+    Returns per-p SearchResults carrying the value, the labeled visit count,
+    and the deduplicated isomorphism classes of maximizers (canonical
+    relabelings, sorted by certificate, so output order is independent of
+    worker count).  Only one prefix per S_k orbit is walked (see the module
+    docstring); visited is the orbit-size-weighted sum of its leaves.
 
     edge_maximal_only restricts the candidate set to graphs where no further
     edge can be added without closing a 5-cycle.  Adding an edge never
     decreases a power sum, so the restriction must not change any value;
     tests hold it to that.
+
+    stats, when given, accumulates counters and phase times.  _pool lets
+    classification_report share one worker pool across orders.
     """
     _check_search_order(n, force)
     ps = list(dict.fromkeys(ps))
@@ -237,27 +308,46 @@ def search_extremal(
     workers = resolve_workers(workers)
 
     edges = _edge_order(n)
-    m = len(edges)
-    depth = min(PREFIX_DEPTH, m)
+    k = min(PREFIX_ORDER, max(n - 2, 0))
+    depth = k * (k - 1) // 2
+    fan_out = workers > 1 and k >= 2  # k >= 2 leaves at least two orbits
+    own_pool = None
+    if fan_out and _pool is None:
+        # the workers start while the orbits are grouped.  The platform's
+        # default start method is kept: on Linux it forks before the pool
+        # starts its handler threads, while a spawned worker would spend
+        # longer importing the package than the whole n = 8 walk takes
+        own_pool = Pool(processes=workers)
+    try:
+        start = time.perf_counter()
+        orbits = _prefix_orbits(n, edges, k)
+        grouped = time.perf_counter()
+        payloads = [(n, ps, depth, mask) for mask, _ in orbits]
+        if fan_out:
+            parts = _fan_out(_pool or own_pool, payloads)
+        else:
+            parts = [_subtree_search(*payload) for payload in payloads]
+        walked = time.perf_counter()
+    finally:
+        if own_pool is not None:
+            own_pool.terminate()
 
-    if workers == 1 or depth == 0 or m <= depth:
-        visited, best, ties = _subtree_search(n, ps, 0, 0)
-    else:
-        payloads = [(n, ps, depth, mask) for mask in _prefixes(n, edges, depth)]
-        visited = 0
-        best = {p: -1 for p in ps}
-        ties: dict[int, list[tuple[int, ...]]] = {p: [] for p in ps}
-        with Pool(processes=workers) as pool:
-            for sub_visited, sub_best, sub_ties in pool.map(_search_worker, payloads, chunksize=1):
-                visited += sub_visited
-                for p in ps:
-                    if sub_best[p] > best[p]:
-                        best[p] = sub_best[p]
-                        ties[p] = list(sub_ties[p])
-                    elif sub_best[p] == best[p]:
-                        ties[p].extend(sub_ties[p])
+    leaves = 0
+    visited = 0
+    best = {p: -1 for p in ps}
+    ties: dict[int, list[tuple[int, ...]]] = {p: [] for p in ps}
+    for (_, size), (sub_leaves, sub_best, sub_ties) in zip(orbits, parts):
+        leaves += sub_leaves
+        visited += size * sub_leaves
+        for p in ps:
+            if sub_best[p] > best[p]:
+                best[p] = sub_best[p]
+                ties[p] = list(sub_ties[p])
+            elif sub_best[p] == best[p]:
+                ties[p].extend(sub_ties[p])
 
     results: dict[int, SearchResult] = {}
+    relabeled = 0
     for p in ps:
         records: dict[bytes, MaximizerRecord] = {}
         for rows in ties[p]:
@@ -265,6 +355,7 @@ def search_extremal(
             if edge_maximal_only and not _is_edge_maximal(rows, n):
                 continue
             canon_graph = canonical_relabel(g)
+            relabeled += 1
             key = to_graph6(canon_graph).encode("ascii")
             if key not in records:
                 records[key] = MaximizerRecord(
@@ -279,9 +370,19 @@ def search_extremal(
             p=p,
             value=best[p],
             visited=visited,
-            maximizers=tuple(records[k] for k in sorted(records)),
+            maximizers=tuple(records[cert] for cert in sorted(records)),
             workers=workers,
         )
+    if stats is not None:
+        stats.labeled_prefixes += sum(size for _, size in orbits)
+        stats.orbit_representatives += len(orbits)
+        stats.leaves_walked += leaves
+        stats.labeled_graphs += visited
+        stats.ties_relabeled += relabeled
+        stats.classes += sum(len(r.maximizers) for r in results.values())
+        stats.orbit_grouping_s += grouped - start
+        stats.walk_s += walked - grouped
+        stats.merge_dedup_s += time.perf_counter() - walked
     return results
 
 
@@ -345,14 +446,26 @@ def classification_report(
     *,
     workers: int = 1,
     force: bool = False,
+    stats: Optional[SearchStats] = None,
 ) -> list[dict]:
-    """Maximizer classification table over a grid of (n, p)."""
+    """Maximizer classification table over a grid of (n, p).
+
+    With several workers one pool serves every order of the grid.
+    """
     report = []
     p_list = list(p_values)
-    for n in n_values:
-        per_p = search_extremal(n, p_list, workers=workers, force=force)
-        for p in p_list:
-            report.append(classify_maximizers(per_p[p]))
+    workers = resolve_workers(workers)
+    pool = Pool(processes=workers) if workers > 1 else None
+    try:
+        for n in n_values:
+            per_p = search_extremal(
+                n, p_list, workers=workers, force=force, stats=stats, _pool=pool
+            )
+            for p in p_list:
+                report.append(classify_maximizers(per_p[p]))
+    finally:
+        if pool is not None:
+            pool.terminate()
     return report
 
 

@@ -14,6 +14,7 @@ import pytest
 from degpow.asymptotics import (
     AffineForm,
     NPolynomial,
+    _frac,
     af,
     best_biclique_split,
     case31_leading_coefficient,
@@ -31,6 +32,7 @@ from degpow.asymptotics import (
     subcase32_omega_coefficient,
     verify_f_positive,
 )
+from degpow.claims import claim_optimizer
 
 HALF = Fraction(1, 2)
 A_GRID = [HALF, Fraction(3, 5), Fraction(7, 10)]
@@ -38,6 +40,15 @@ A_GRID = [HALF, Fraction(3, 5), Fraction(7, 10)]
 
 # ---------------------------------------------------------------------------
 # polynomial plumbing
+
+
+def test_frac_reads_floats_as_short_fractions():
+    assert _frac(0.6) == Fraction(3, 5)
+    assert _frac(0.6) != Fraction(0.6)  # not the binary expansion
+    assert _frac(1 / 3) == Fraction(1, 3)
+    assert _frac(0.75) == Fraction(3, 4)
+    assert _frac("7/10") == Fraction(7, 10)
+    assert af(0.6, -2) == af(Fraction(3, 5), -2)
 
 
 def test_affine_form_evaluation():
@@ -297,6 +308,16 @@ def test_optimize_c_closed_forms():
     assert abs(optimize_c(4) - (1 + 3 ** -0.5) / 2) < 1e-8
     t_star = (4 - math.sqrt(10)) / 6
     assert abs(optimize_c(5) - (1 + math.sqrt(1 - 4 * t_star)) / 2) < 1e-8
+
+
+def test_optimize_c_meets_tight_tolerances():
+    # bisection on the derivative's sign resolves the argmax far below the
+    # 1e-8 the objective itself can distinguish
+    closed = {4: (1 + 3 ** -0.5) / 2, 5: (1 + math.sqrt(1 - 4 * (4 - math.sqrt(10)) / 6)) / 2}
+    for p, c in closed.items():
+        for tol in (1e-12, 1e-15):
+            assert abs(optimize_c(p, tol) - c) <= tol, (p, tol)
+        assert claim_optimizer(p=p, tol=1e-12)["pass"], p
 
 
 def test_optimize_c_monotone_toward_one():

@@ -1,9 +1,11 @@
 """Command-line behavior: output schemas, exit codes, reproducibility."""
 
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +141,34 @@ def test_search_worker_count_invisible_in_output(capsys):
     assert ELAPSED.sub('"elapsed_ms": 0', serial) == ELAPSED.sub('"elapsed_ms": 0', parallel)
 
 
+STATS_KEYS = [
+    "labeled_prefixes", "orbit_representatives", "leaves_walked", "labeled_graphs",
+    "ties_relabeled", "classes", "orbit_grouping_s", "walk_s", "merge_dedup_s",
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "--n", "7", "--p", "2", "--workers", "2"),
+        ("sweep", "--n-min", "4", "--n-max", "6", "--p", "1", "2"),
+    ],
+)
+def test_stats_go_to_stderr_and_leave_the_payload_alone(capsys, argv):
+    code, plain, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, *argv, "--stats")
+    assert code == 0
+    assert ELAPSED.sub('"elapsed_ms": 0', out) == ELAPSED.sub('"elapsed_ms": 0', plain)
+    assert err.endswith("\n") and err.count("\n") == 1
+    stats = json.loads(err)
+    assert list(stats) == STATS_KEYS
+    payload = json.loads(out)
+    rows = [payload] if argv[0] == "search" else payload["report"][::2]
+    assert stats["labeled_graphs"] == sum(row["visited"] for row in rows)
+    assert stats["orbit_representatives"] <= stats["labeled_prefixes"]
+
+
 # ---------------------------------------------------------------------------
 # optimize-c
 
@@ -272,8 +302,21 @@ def test_module_entry_point():
 
 
 def test_console_script_help():
-    proc = subprocess.run(
-        ["degpow", "--help"], capture_output=True, text=True, timeout=60
+    # run the [project.scripts] target the way the installed wrapper does,
+    # so the test needs no installed executable
+    root = Path(__file__).resolve().parent.parent
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    module, func = re.search(r'^degpow\s*=\s*"([\w.]+):(\w+)"', scripts, re.M).groups()
+    wrapper = (
+        f"import sys; from {module} import {func}; "
+        f"sys.argv[0] = 'degpow'; sys.exit({func}())"
     )
-    assert proc.returncode == 0
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", wrapper, "--help"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: degpow ")
     assert "construct" in proc.stdout and "verify" in proc.stdout

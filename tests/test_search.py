@@ -2,12 +2,15 @@
 classification, and the neighborhood validators driven by the same walker."""
 
 import itertools
+from dataclasses import replace
 
+import networkx as nx
 import pytest
 
 from degpow.constructions import GPrime, GStar, build
 from degpow.graphs import (
     CapacityError,
+    canonical_relabel,
     contains_cycle,
     degree_sequence,
     from_edges,
@@ -15,6 +18,11 @@ from degpow.graphs import (
     to_graph6,
 )
 from degpow.search import (
+    SearchStats,
+    _edge_order,
+    _prefix_orbits,
+    _prefixes,
+    classification_report,
     classify_maximizers,
     collect_c5_free,
     enumerate_c5_free,
@@ -166,17 +174,83 @@ def test_trivial_orders():
 
 
 # ---------------------------------------------------------------------------
+# orbit reduction
+
+
+def _brute_extremal(n, ps):
+    """Value, labeled count and canonical maximizer classes, straight from
+    the full labeled enumeration."""
+    graphs = collect_c5_free(n)
+    degrees = [degree_sequence(g) for g in graphs]
+    out = {}
+    for p in ps:
+        sums = [sum(d ** p for d in degs) for degs in degrees]
+        best = max(sums)
+        classes = {
+            to_graph6(canonical_relabel(g)) for g, s in zip(graphs, sums) if s == best
+        }
+        out[p] = (best, len(graphs), classes)
+    return out
+
+
+def test_orbit_search_matches_labeled_brute_force():
+    ps = range(1, 7)
+    for n in range(0, 8):
+        found = search_extremal(n, ps)
+        for p, (value, count, classes) in _brute_extremal(n, ps).items():
+            res = found[p]
+            assert (res.value, res.visited) == (value, count), (n, p)
+            assert {rec.canonical.decode("ascii") for rec in res.maximizers} == classes, (n, p)
+
+
+def _atlas_c5_free_classes(k):
+    return sum(
+        1
+        for g in nx.graph_atlas_g()
+        if g.number_of_nodes() == k
+        and not any(len(c) == 5 for c in nx.simple_cycles(g, length_bound=5))
+    )
+
+
+def test_prefix_orbits_are_the_isomorphism_classes():
+    for k, (labeled, classes) in {4: (64, 11), 5: (806, 26), 6: (13922, 80)}.items():
+        edges = _edge_order(k)
+        orbits = _prefix_orbits(k, edges, k)
+        prefixes = _prefixes(k, edges, len(edges))
+        assert len(orbits) == classes == _atlas_c5_free_classes(k)
+        assert sum(size for _, size in orbits) == len(prefixes) == labeled
+
+
+def test_search_stats_count_the_orbit_walk():
+    stats = SearchStats()
+    search_extremal(7, [2], stats=stats)
+    assert stats.labeled_prefixes == 806
+    assert stats.orbit_representatives == 26
+    assert stats.labeled_graphs == 316453
+    assert 26 <= stats.leaves_walked < 316453
+    assert stats.classes == 1 and stats.ties_relabeled >= 1
+    assert min(stats.orbit_grouping_s, stats.walk_s, stats.merge_dedup_s) >= 0
+    # a second call accumulates
+    search_extremal(4, [2], stats=stats)
+    assert stats.labeled_graphs == 316453 + 64
+
+
+def test_classification_report_shared_pool_matches_serial():
+    serial = classification_report(range(3, 8), [1, 2, 5])
+    assert classification_report(range(3, 8), [1, 2, 5], workers=2) == serial
+
+
+# ---------------------------------------------------------------------------
 # parallel execution
 
 
 def test_worker_count_does_not_change_results():
-    serial = search_extremal(6, [1, 2])
-    parallel = search_extremal(6, [1, 2], workers=2)
-    for p in (1, 2):
-        assert serial[p].value == parallel[p].value
-        assert serial[p].visited == parallel[p].visited
-        assert serial[p].maximizers == parallel[p].maximizers
-    assert parallel[1].workers == 2
+    for n in (6, 7):
+        serial = search_extremal(n, range(1, 7))
+        parallel = search_extremal(n, range(1, 7), workers=2)
+        for p in range(1, 7):
+            assert parallel[p].workers == 2
+            assert replace(parallel[p], workers=1) == serial[p], (n, p)
 
 
 def test_resolve_workers_env_cap(monkeypatch):
