@@ -7,18 +7,20 @@ exactly once.  Labeled counts grow fast (9,369,687 at n = 8), which is why
 the leaf work is all bitmask arithmetic on raw adjacency rows; the SmallGraph
 API appears only at the edges of the module.
 
-The extremal search splits the decision tree on the induced graph of the
-first k = min(PREFIX_ORDER, n - 2) vertices, whose k(k-1)/2 edges the edge
-order decides first.  Every later edge touches a vertex >= k, so a
-permutation of {0..k-1} maps the completions of one prefix one-to-one onto
-the completions of its image, keeping e_p, C5-freeness and the isomorphism
-class.  The search therefore walks one prefix per S_k orbit (80 orbits for
-the 13,922 prefixes at k = 6) and weights its leaves by the orbit size, so
-`visited` is still the exact labeled count.  With several workers the
-representatives are the units of work and results are merged in
-representative order, so worker count never changes the outcome.
-DEGPOW_THREADS caps the worker count from the environment.  The enumerator
-and the validator sweeps stay full labeled walks.
+The extremal search and the validator sweeps split the decision tree on the
+induced graph of the first k = min(PREFIX_ORDER, n - 2) vertices, whose
+k(k-1)/2 edges the edge order decides first.  Every later edge touches a
+vertex >= k, so a permutation of {0..k-1} maps the completions of one prefix
+one-to-one onto the completions of its image, keeping e_p, C5-freeness, the
+isomorphism class and every property the sweeps test.  Both walk one prefix
+per S_k orbit (80 orbits for the 13,922 prefixes at k = 6) and weight its
+counts by the orbit size, so `visited`, `graphs` and `pairs_checked` stay
+exact labeled counts.  Violations name labeled graphs, so a sweep walks an
+orbit again prefix by prefix only when its representative shows one.  With
+several workers the search's representatives are the units of work and
+results are merged in representative order, so worker count never changes
+the outcome.  DEGPOW_THREADS caps the worker count from the environment.
+The enumerator stays a full labeled walk.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ from __future__ import annotations
 import itertools
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from multiprocessing import Pool
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -44,8 +48,8 @@ from .graphs import (
 )
 
 MAX_SEARCH_ORDER = 9
-# the extremal search splits on the first min(PREFIX_ORDER, n - 2) vertices;
-# grouping the 13,922 C5-free prefixes on 6 vertices takes the 720
+# the search and the sweeps split on the first min(PREFIX_ORDER, n - 2)
+# vertices; grouping the 13,922 C5-free prefixes on 6 vertices takes the 720
 # permutations of S_6 and leaves 80 subtrees to walk
 PREFIX_ORDER = 6
 
@@ -182,30 +186,40 @@ def _prefixes(n: int, edges, depth: int) -> list[int]:
     return found
 
 
-def _prefix_orbits(n: int, edges, k: int) -> list[tuple[int, int]]:
-    """(representative, orbit size) for each S_k orbit of the C5-free prefixes
-    on vertices 0..k-1; the representative is the orbit's first prefix in
-    _prefixes order."""
+def _prefix_order(n: int) -> int:
+    return min(PREFIX_ORDER, max(n - 2, 0))
+
+
+def _prefix_representatives(n: int, edges, k: int) -> dict[int, int]:
+    """Map each C5-free prefix on vertices 0..k-1, in _prefixes order, to the
+    representative of its S_k orbit: the orbit's first prefix in that order."""
     depth = k * (k - 1) // 2
     index = {e: t for t, e in enumerate(edges[:depth])}
     images = [
         [1 << index[min(pi[u], pi[v]), max(pi[u], pi[v])] for u, v in edges[:depth]]
         for pi in itertools.permutations(range(k))
     ]
-    seen: set[int] = set()
-    orbits = []
-    for mask in _prefixes(n, edges, depth):
-        if mask in seen:
-            continue
-        bits = [t for t in range(depth) if (mask >> t) & 1]
-        orbit = {sum(map(image.__getitem__, bits)) for image in images}
-        seen |= orbit
-        orbits.append((mask, len(orbit)))
-    return orbits
+    prefixes = _prefixes(n, edges, depth)
+    rep: dict[int, int] = {}
+    for mask in prefixes:
+        if mask not in rep:
+            bits = [t for t in range(depth) if (mask >> t) & 1]
+            rep.update(dict.fromkeys({sum(map(image.__getitem__, bits)) for image in images}, mask))
+    return {mask: rep[mask] for mask in prefixes}
 
 
-def _subtree_search(n: int, ps: Sequence[int], depth: int, mask: int):
+def _prefix_orbits(n: int, edges, k: int) -> list[tuple[int, int]]:
+    """(representative, orbit size) for each S_k orbit of the C5-free prefixes
+    on vertices 0..k-1, representatives in _prefixes order."""
+    return list(Counter(_prefix_representatives(n, edges, k).values()).items())
+
+
+def _walk_prefix(n: int, mask: int, leaf) -> None:
+    """Call leaf(rows, deg) at every C5-free completion of the prefix `mask`
+    (edges among the first _prefix_order(n) vertices)."""
     edges = _edge_order(n)
+    k = _prefix_order(n)
+    depth = k * (k - 1) // 2
     rows = [0] * n
     deg = [0] * n
     for t in range(depth):
@@ -215,6 +229,40 @@ def _subtree_search(n: int, ps: Sequence[int], depth: int, mask: int):
             rows[v] |= 1 << u
             deg[u] += 1
             deg[v] += 1
+    _run_tree(n, edges, depth, rows, deg, leaf)
+
+
+def _walk_orbits(n: int, subtree, *, pool=None, stats: Optional[SearchStats] = None) -> list:
+    """(representative, orbit size, subtree(representative)) for each S_k
+    orbit of prefixes, in _prefix_orbits order.  subtree(mask) walks below
+    one prefix and returns a tuple that starts with its leaf count.  With a
+    pool the representatives are the units of work."""
+    start = time.perf_counter()
+    orbits = _prefix_orbits(n, _edge_order(n), _prefix_order(n))
+    grouped = time.perf_counter()
+    masks = [mask for mask, _ in orbits]
+    if pool is None:
+        parts = list(map(subtree, masks))
+    else:
+        # the sparsest prefixes own the largest subtrees and come last in DFS
+        # order; handing them out first keeps the workers evenly loaded
+        order = sorted(range(len(masks)), key=lambda i: masks[i].bit_count())
+        parts = [None] * len(masks)
+        for i, part in zip(order, pool.imap(subtree, [masks[i] for i in order])):
+            parts[i] = part
+    if stats is not None:
+        stats.walk_s += time.perf_counter() - grouped
+        stats.orbit_grouping_s += grouped - start
+        leaves = [part[0] for part in parts]
+        stats.labeled_prefixes += sum(size for _, size in orbits)
+        stats.orbit_representatives += len(orbits)
+        stats.leaves_walked += sum(leaves)
+        stats.largest_subtree_leaves = max(stats.largest_subtree_leaves, *leaves)
+        stats.labeled_graphs += sum(size * count for (_, size), count in zip(orbits, leaves))
+    return [(mask, size, part) for (mask, size), part in zip(orbits, parts)]
+
+
+def _subtree_search(n: int, ps: Sequence[int], mask: int):
     tables = [(p, [d ** p for d in range(n)]) for p in ps]
     best = {p: -1 for p in ps}
     ties: dict[int, list[tuple[int, ...]]] = {p: [] for p in ps}
@@ -234,23 +282,8 @@ def _subtree_search(n: int, ps: Sequence[int], depth: int, mask: int):
                 else:
                     ties[p].append(tuple(rows))
 
-    _run_tree(n, edges, depth, rows, deg, leaf)
+    _walk_prefix(n, mask, leaf)
     return leaves, best, ties
-
-
-def _search_worker(payload):
-    return _subtree_search(*payload)
-
-
-def _fan_out(pool, payloads: list) -> list:
-    # the sparsest prefixes (payload[3] is the prefix mask) own the largest
-    # subtrees and come last in DFS order; handing them out first keeps the
-    # workers evenly loaded
-    order = sorted(range(len(payloads)), key=lambda i: payloads[i][3].bit_count())
-    parts = [None] * len(payloads)
-    for i, part in zip(order, pool.imap(_search_worker, [payloads[i] for i in order])):
-        parts[i] = part
-    return parts
 
 
 @dataclass(slots=True)
@@ -264,6 +297,7 @@ class SearchStats:
     labeled_prefixes: int = 0
     orbit_representatives: int = 0
     leaves_walked: int = 0
+    largest_subtree_leaves: int = 0  # below one representative; max over calls
     labeled_graphs: int = 0
     ties_relabeled: int = 0
     classes: int = 0
@@ -307,10 +341,7 @@ def search_extremal(
             raise ValueError(f"exponent p must be >= 1, got {p}")
     workers = resolve_workers(workers)
 
-    edges = _edge_order(n)
-    k = min(PREFIX_ORDER, max(n - 2, 0))
-    depth = k * (k - 1) // 2
-    fan_out = workers > 1 and k >= 2  # k >= 2 leaves at least two orbits
+    fan_out = workers > 1 and _prefix_order(n) >= 2  # k >= 2 leaves at least two orbits
     own_pool = None
     if fan_out and _pool is None:
         # the workers start while the orbits are grouped.  The platform's
@@ -319,25 +350,19 @@ def search_extremal(
         # longer importing the package than the whole n = 8 walk takes
         own_pool = Pool(processes=workers)
     try:
-        start = time.perf_counter()
-        orbits = _prefix_orbits(n, edges, k)
-        grouped = time.perf_counter()
-        payloads = [(n, ps, depth, mask) for mask, _ in orbits]
-        if fan_out:
-            parts = _fan_out(_pool or own_pool, payloads)
-        else:
-            parts = [_subtree_search(*payload) for payload in payloads]
+        parts = _walk_orbits(
+            n, partial(_subtree_search, n, ps),
+            pool=(_pool or own_pool) if fan_out else None, stats=stats,
+        )
         walked = time.perf_counter()
     finally:
         if own_pool is not None:
             own_pool.terminate()
 
-    leaves = 0
     visited = 0
     best = {p: -1 for p in ps}
     ties: dict[int, list[tuple[int, ...]]] = {p: [] for p in ps}
-    for (_, size), (sub_leaves, sub_best, sub_ties) in zip(orbits, parts):
-        leaves += sub_leaves
+    for _, size, (sub_leaves, sub_best, sub_ties) in parts:
         visited += size * sub_leaves
         for p in ps:
             if sub_best[p] > best[p]:
@@ -374,14 +399,8 @@ def search_extremal(
             workers=workers,
         )
     if stats is not None:
-        stats.labeled_prefixes += sum(size for _, size in orbits)
-        stats.orbit_representatives += len(orbits)
-        stats.leaves_walked += leaves
-        stats.labeled_graphs += visited
         stats.ties_relabeled += relabeled
         stats.classes += sum(len(r.maximizers) for r in results.values())
-        stats.orbit_grouping_s += grouped - start
-        stats.walk_s += walked - grouped
         stats.merge_dedup_s += time.perf_counter() - walked
     return results
 
@@ -503,13 +522,14 @@ def _components_of(rows, mask: int) -> list[int]:
     return comps
 
 
-def _decomposition_rows(rows, u: int) -> tuple[bool, int, int, list[int], list[int]]:
+def _decomposition_rows(rows, u: int) -> tuple[int, int, int, list[int], list[int]]:
+    # (non-star components of order >= 4, isolated, edge_pairs, other orders, masks)
     mask = rows[u]
     comps = _components_of(rows, mask)
     isolated = 0
     edge_pairs = 0
     other: list[int] = []
-    valid = True
+    non_stars = 0
     for comp in comps:
         size = comp.bit_count()
         if size == 1:
@@ -520,8 +540,8 @@ def _decomposition_rows(rows, u: int) -> tuple[bool, int, int, list[int], list[i
             continue
         other.append(size)
         if size >= 4 and not _is_star(rows, comp, size):
-            valid = False
-    return valid, isolated, edge_pairs, other, comps
+            non_stars += 1
+    return non_stars, isolated, edge_pairs, other, comps
 
 
 def _is_star(rows, comp: int, size: int) -> bool:
@@ -638,8 +658,7 @@ def validate_observations(g: SmallGraph, u: int) -> ObservationReport:
     degs = [r.bit_count() for r in g.rows]
     if degs[u] != max(degs):
         raise ValueError(f"vertex {u} does not have maximum degree")
-    nmask = g.rows[u]
-    if not any(g.rows[x.bit_length() - 1] & nmask for x in _bits(nmask)):
+    if not _has_edge_within(g.rows, g.rows[u]):
         raise ValueError("neighborhood of the hub contains no edge")
     failures, flags, outside, edge_checks = _validate_observation_rows(g.rows, g.order, u)
     return ObservationReport(
@@ -652,15 +671,18 @@ def validate_observations(g: SmallGraph, u: int) -> ObservationReport:
     )
 
 
-def _bits(mask: int):
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        yield b
+def _has_edge_within(rows, mask: int) -> bool:
+    m = mask
+    while m:
+        b = m & -m
+        m ^= b
+        if rows[b.bit_length() - 1] & mask:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
-# full-enumeration sweeps (acceptance-scale validation)
+# orbit-weighted sweeps (acceptance-scale validation)
 
 
 @dataclass(frozen=True, slots=True)
@@ -671,6 +693,85 @@ class SweepResult:
     violations: tuple[str, ...]
 
 
+def _check_validity(rows, deg, n: int, violations: list[str]) -> int:
+    pairs = 0
+    for u in range(n):
+        if deg[u] >= 4:
+            pairs += 1
+            # one message per component that holds a 4-vertex path
+            for _ in range(_decomposition_rows(rows, u)[0]):
+                violations.append(f"{to_graph6(SmallGraph(n, tuple(rows)))} u={u}")
+    return pairs
+
+
+def _check_observations(rows, deg, n: int, violations: list[str]) -> int:
+    dmax = max(deg, default=0)
+    pairs = 0
+    for u in range(n):
+        if deg[u] != dmax or not _has_edge_within(rows, rows[u]):
+            continue
+        pairs += 1
+        failures, _, _, _ = _validate_observation_rows(rows, n, u)
+        for msg in failures:
+            violations.append(f"{to_graph6(SmallGraph(n, tuple(rows)))} u={u}: {msg}")
+    return pairs
+
+
+def _check_completion(rows, deg, n: int, violations: list[str]) -> int:
+    dmax = max(deg, default=0)
+    if dmax == 0:
+        return 0
+    pairs = 0
+    for u in range(n):
+        nmask = rows[u]
+        if deg[u] != dmax or _has_edge_within(rows, nmask):
+            continue
+        pairs += 1
+        for v in range(n):
+            after = n - dmax if (nmask >> v) & 1 else dmax
+            if deg[v] > after:
+                violations.append(f"{to_graph6(SmallGraph(n, tuple(rows)))} u={u} v={v}")
+    return pairs
+
+
+def _sweep_subtree(n: int, check, mask: int) -> tuple[int, int, list[str]]:
+    leaves = 0
+    pairs = 0
+    violations: list[str] = []
+
+    def leaf(rows, deg):
+        nonlocal leaves, pairs
+        leaves += 1
+        pairs += check(rows, deg, n, violations)
+
+    _walk_prefix(n, mask, leaf)
+    return leaves, pairs, violations
+
+
+def _sweep(n: int, check, force: bool) -> SweepResult:
+    """Run check(rows, deg, n, violations), which returns the number of
+    (graph, hub) pairs it tested, on one representative per prefix orbit.
+
+    A dirty orbit is walked again prefix by prefix in _prefixes order, so
+    violations come out as the full labeled walk would list them.
+    """
+    _check_search_order(n, force)
+    subtree = partial(_sweep_subtree, n, check)
+    parts = _walk_orbits(n, subtree)
+    dirty = {rep for rep, _, (_, _, found) in parts if found}
+    violations: list[str] = []
+    if dirty:
+        for mask, rep in _prefix_representatives(n, _edge_order(n), _prefix_order(n)).items():
+            if rep in dirty:
+                violations += subtree(mask)[2]
+    return SweepResult(
+        n=n,
+        graphs=sum(size * part[0] for _, size, part in parts),
+        pairs_checked=sum(size * part[1] for _, size, part in parts),
+        violations=tuple(violations),
+    )
+
+
 def sweep_neighborhood_validity(n: int, *, force: bool = False) -> SweepResult:
     """Check the no-P4 neighborhood condition for every (C5-free g, u).
 
@@ -678,119 +779,16 @@ def sweep_neighborhood_validity(n: int, *, force: bool = False) -> SweepResult:
     fail; everything else is valid by counting.  Violating graphs come back
     as graph6 strings (the expected result is none).
     """
-    _check_search_order(n, force)
-    graphs = 0
-    pairs = 0
-    violations: list[str] = []
-
-    def leaf(rows, deg):
-        nonlocal graphs, pairs
-        graphs += 1
-        for u in range(n):
-            if deg[u] < 4:
-                continue
-            pairs += 1
-            mask = rows[u]
-            rem = mask
-            while rem:
-                seed = rem & -rem
-                comp = seed
-                frontier = seed
-                while frontier:
-                    nxt = 0
-                    while frontier:
-                        b = frontier & -frontier
-                        frontier ^= b
-                        nxt |= rows[b.bit_length() - 1]
-                    frontier = nxt & mask & ~comp
-                    comp |= frontier
-                rem &= ~comp
-                size = comp.bit_count()
-                if size <= 3:
-                    continue
-                if not _is_star(rows, comp, size):
-                    violations.append(to_graph6(SmallGraph(n, tuple(rows))) + f" u={u}")
-
-    _run_tree(n, _edge_order(n), 0, [0] * n, [0] * n, leaf)
-    return SweepResult(n=n, graphs=graphs, pairs_checked=pairs, violations=tuple(violations))
+    return _sweep(n, _check_validity, force)
 
 
 def sweep_observations(n: int, *, force: bool = False) -> SweepResult:
     """Run the attachment observations over every C5-free graph on n vertices
     and every max-degree hub whose neighborhood contains an edge."""
-    _check_search_order(n, force)
-    graphs = 0
-    pairs = 0
-    violations: list[str] = []
-
-    def leaf(rows, deg):
-        nonlocal graphs, pairs
-        graphs += 1
-        dmax = 0
-        for d in deg:
-            if d > dmax:
-                dmax = d
-        if dmax == 0:
-            return
-        for u in range(n):
-            if deg[u] != dmax:
-                continue
-            nmask = rows[u]
-            has_edge = False
-            m = nmask
-            while m:
-                b = m & -m
-                m ^= b
-                if rows[b.bit_length() - 1] & nmask:
-                    has_edge = True
-                    break
-            if not has_edge:
-                continue
-            pairs += 1
-            failures, _, _, _ = _validate_observation_rows(rows, n, u)
-            for msg in failures:
-                violations.append(to_graph6(SmallGraph(n, tuple(rows))) + f" u={u}: {msg}")
-
-    _run_tree(n, _edge_order(n), 0, [0] * n, [0] * n, leaf)
-    return SweepResult(n=n, graphs=graphs, pairs_checked=pairs, violations=tuple(violations))
+    return _sweep(n, _check_observations, force)
 
 
 def sweep_bipartite_completion(n: int, *, force: bool = False) -> SweepResult:
     """Verify completion monotonicity: splitting at a max-degree hub with
     independent neighborhood never lowers any degree."""
-    _check_search_order(n, force)
-    graphs = 0
-    pairs = 0
-    violations: list[str] = []
-
-    def leaf(rows, deg):
-        nonlocal graphs, pairs
-        graphs += 1
-        dmax = 0
-        for d in deg:
-            if d > dmax:
-                dmax = d
-        if dmax == 0:
-            return
-        for u in range(n):
-            if deg[u] != dmax:
-                continue
-            nmask = rows[u]
-            independent = True
-            m = nmask
-            while m:
-                b = m & -m
-                m ^= b
-                if rows[b.bit_length() - 1] & nmask:
-                    independent = False
-                    break
-            if not independent:
-                continue
-            pairs += 1
-            for v in range(n):
-                after = n - dmax if (nmask >> v) & 1 else dmax
-                if deg[v] > after:
-                    violations.append(to_graph6(SmallGraph(n, tuple(rows))) + f" u={u} v={v}")
-
-    _run_tree(n, _edge_order(n), 0, [0] * n, [0] * n, leaf)
-    return SweepResult(n=n, graphs=graphs, pairs_checked=pairs, violations=tuple(violations))
+    return _sweep(n, _check_completion, force)

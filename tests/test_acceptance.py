@@ -34,6 +34,7 @@ from degpow.search import (
     ex_p,
     neighborhood_decomposition,
     search_extremal,
+    sweep_bipartite_completion,
     sweep_neighborhood_validity,
     sweep_observations,
 )
@@ -219,14 +220,16 @@ def test_criterion_10_structural_validators_sweep():
         for g in collect_c5_free(n):
             for u in range(n):
                 assert neighborhood_decomposition(g, u).valid
-    # orders 6..8: enumerator-level sweep (degree >= 4 hubs are the only
-    # candidates that can fail; see sweep_neighborhood_validity)
+    # orders 6..8: enumerator-level sweeps (degree >= 4 hubs are the only
+    # candidates that can fail validity; see sweep_neighborhood_validity)
     for n in range(6, 9):
         result = sweep_neighborhood_validity(n)
         assert result.violations == (), n
-    for n in range(1, 8):
+        result = sweep_bipartite_completion(n)
+        assert result.violations == (), n
+    for n in range(1, 9):
         result = sweep_observations(n)
         assert result.violations == (), n
     elapsed = time.perf_counter() - start
-    assert elapsed < 300.0, f"budget 5 min, took {elapsed:.2f} s"
+    assert elapsed < 60.0, f"budget 60 s, took {elapsed:.2f} s"
     _stamp(10)

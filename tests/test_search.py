@@ -2,14 +2,17 @@
 classification, and the neighborhood validators driven by the same walker."""
 
 import itertools
+from collections import Counter
 from dataclasses import replace
 
 import networkx as nx
 import pytest
 
-from degpow.constructions import GPrime, GStar, build
+from degpow import search
+from degpow.constructions import GPrime, GStar, bipartite_completion, build
 from degpow.graphs import (
     CapacityError,
+    SmallGraph,
     canonical_relabel,
     contains_cycle,
     degree_sequence,
@@ -228,11 +231,24 @@ def test_search_stats_count_the_orbit_walk():
     assert stats.orbit_representatives == 26
     assert stats.labeled_graphs == 316453
     assert 26 <= stats.leaves_walked < 316453
+    assert stats.leaves_walked < 26 * stats.largest_subtree_leaves < 26 * stats.leaves_walked
     assert stats.classes == 1 and stats.ties_relabeled >= 1
     assert min(stats.orbit_grouping_s, stats.walk_s, stats.merge_dedup_s) >= 0
-    # a second call accumulates
+    # a second call accumulates; the largest subtree is a maximum, not a sum
+    largest = stats.largest_subtree_leaves
     search_extremal(4, [2], stats=stats)
     assert stats.labeled_graphs == 316453 + 64
+    assert stats.largest_subtree_leaves == largest
+
+
+def test_largest_subtree_is_the_largest_prefix_class():
+    # each orbit member owns as many completions as its representative, so
+    # the largest subtree holds the most labeled graphs over one prefix
+    # pattern on the first k = 4 vertices
+    stats = SearchStats()
+    search_extremal(6, [2], stats=stats)
+    per_prefix = Counter(tuple(row & 0b1111 for row in g.rows[:4]) for g in collect_c5_free(6))
+    assert stats.largest_subtree_leaves == max(per_prefix.values())
 
 
 def test_classification_report_shared_pool_matches_serial():
@@ -456,48 +472,125 @@ def test_observations_triangle_gadget_attachment_branches():
 # sweeps
 
 
+def _max_degree_hubs(g):
+    """(u, degrees, neighborhood-has-an-edge) for every max-degree hub of a
+    graph with at least one edge."""
+    degs = degree_sequence(g)
+    dmax = max(degs, default=0)
+    if dmax == 0:
+        return
+    for u in range(g.order):
+        if degs[u] == dmax:
+            nbrs = set(g.neighbors(u))
+            yield u, degs, any(set(g.neighbors(v)) & nbrs for v in nbrs)
+
+
 def test_sweep_validity_agrees_with_public_api():
-    sweep = sweep_neighborhood_validity(5)
-    assert sweep.graphs == 806
-    assert sweep.violations == ()
-    pairs = 0
-    for g in collect_c5_free(5):
-        degs = degree_sequence(g)
-        for u in range(5):
-            if degs[u] >= 4:
-                pairs += 1
-                assert neighborhood_decomposition(g, u).valid
-    assert pairs == sweep.pairs_checked
+    for n in range(0, 7):
+        sweep = sweep_neighborhood_validity(n)
+        assert sweep.violations == ()
+        pairs = 0
+        for g in collect_c5_free(n):
+            degs = degree_sequence(g)
+            for u in range(n):
+                if degs[u] >= 4:
+                    pairs += 1
+                    assert neighborhood_decomposition(g, u).valid
+        assert (sweep.graphs, sweep.pairs_checked) == (enumerate_c5_free(n), pairs), n
 
 
 def test_sweep_observations_agrees_with_public_api():
-    sweep = sweep_observations(5)
-    assert sweep.graphs == 806
-    assert sweep.violations == ()
-    pairs = 0
-    for g in collect_c5_free(5):
-        degs = degree_sequence(g)
-        dmax = max(degs)
-        if dmax == 0:
-            continue
-        for u in range(5):
-            if degs[u] != dmax:
-                continue
-            nbrs = set(g.neighbors(u))
-            if not any(set(g.neighbors(v)) & nbrs for v in nbrs):
-                continue
-            pairs += 1
-            assert validate_observations(g, u).passed
-    assert pairs == sweep.pairs_checked
+    for n in range(0, 7):
+        sweep = sweep_observations(n)
+        assert sweep.violations == ()
+        pairs = 0
+        for g in collect_c5_free(n):
+            for u, _, has_edge in _max_degree_hubs(g):
+                if has_edge:
+                    pairs += 1
+                    assert validate_observations(g, u).passed
+        assert (sweep.graphs, sweep.pairs_checked) == (enumerate_c5_free(n), pairs), n
+
+
+def test_sweep_bipartite_completion_agrees_with_public_api():
+    for n in range(0, 7):
+        sweep = sweep_bipartite_completion(n)
+        assert sweep.violations == ()
+        pairs = 0
+        for g in collect_c5_free(n):
+            for u, degs, has_edge in _max_degree_hubs(g):
+                if not has_edge:
+                    pairs += 1
+                    after = degree_sequence(bipartite_completion(g, u))
+                    assert all(a >= d for a, d in zip(after, degs))
+        assert (sweep.graphs, sweep.pairs_checked) == (enumerate_c5_free(n), pairs), n
+
+
+SWEEPS = (sweep_neighborhood_validity, sweep_observations, sweep_bipartite_completion)
+
+
+def test_sweeps_without_a_prefix_split_count_every_graph():
+    # below n = 4 the prefix has at most one vertex and one orbit
+    for n in range(0, 4):
+        for sweep_fn in SWEEPS:
+            assert sweep_fn(n).graphs == enumerate_c5_free(n), (sweep_fn.__name__, n)
 
 
 def test_sweeps_clean_at_order_six():
-    for sweep_fn in (
-        sweep_neighborhood_validity,
-        sweep_observations,
-        sweep_bipartite_completion,
-    ):
+    for sweep_fn in SWEEPS:
         result = sweep_fn(6)
         assert result.graphs == 13922
         assert result.violations == ()
         assert result.pairs_checked > 0
+
+
+def test_sweep_counts_at_order_seven():
+    # graph and pair counts of the full labeled walk at n = 7
+    results = [sweep_fn(7) for sweep_fn in SWEEPS]
+    assert [r.pairs_checked for r in results] == [218533, 314482, 206213]
+    assert {r.graphs for r in results} == {316453}
+
+
+def _labeled_reference(n, violations_of):
+    """Violations listed by a full labeled walk, in its visiting order."""
+    found = []
+    enumerate_c5_free(n, lambda rows: found.extend(violations_of(SmallGraph(n, tuple(rows)))))
+    return found
+
+
+def test_validity_violations_list_every_labeled_graph(monkeypatch):
+    # with _is_star failing, every component of order >= 4 in the
+    # neighborhood of a hub of degree >= 4 is a violation
+    def violations_of(g):
+        out = []
+        for u in range(g.order):
+            if g.degree(u) < 4:
+                continue
+            nbrs = set(g.neighbors(u))
+            nbhd = nx.Graph([(a, b) for a in nbrs for b in g.neighbors(a) if b in nbrs])
+            big = sum(1 for comp in nx.connected_components(nbhd) if len(comp) > 3)
+            out += [f"{to_graph6(g)} u={u}"] * big
+        return out
+
+    clean = sweep_neighborhood_validity(6)
+    monkeypatch.setattr(search, "_is_star", lambda rows, comp, size: False)
+    swept = sweep_neighborhood_validity(6)
+    expected = _labeled_reference(6, violations_of)
+    assert len(expected) > 100
+    assert swept.violations == tuple(expected)
+    assert (swept.graphs, swept.pairs_checked) == (clean.graphs, clean.pairs_checked)
+
+
+def test_observation_violations_list_every_labeled_graph(monkeypatch):
+    def violations_of(g):
+        return [f"{to_graph6(g)} u={u}: stub" for u, _, has_edge in _max_degree_hubs(g) if has_edge]
+
+    clean = sweep_observations(6)
+    monkeypatch.setattr(
+        search, "_validate_observation_rows", lambda rows, n, u: (["stub"], [], 0, 0)
+    )
+    swept = sweep_observations(6)
+    expected = _labeled_reference(6, violations_of)
+    assert len(expected) == clean.pairs_checked
+    assert swept.violations == tuple(expected)
+    assert (swept.graphs, swept.pairs_checked) == (clean.graphs, clean.pairs_checked)
