@@ -5,15 +5,14 @@ proportion of the larger side of the extremal complete bipartite graph.
 Up to p = 3 the even split wins; from p = 4 on the maximum moves out and
 the closed forms below pin the first two cases.
 
-The second table takes an actual order (n = 10^4 by default), scans every
-integer split K_{b,n-b} through exact degree-profile power sums, and shows
-b/n landing within 10^-2 of c(p).
+The second table takes an actual order (n = 10^4 by default), finds the
+exact best integer split K_{b,n-b} with best_biclique_split, and shows b/n
+landing within 10^-2 of c(p).
 """
 
 import sys
 
-from degpow.asymptotics import optimize_c, split_objective
-from degpow.constructions import CompleteBipartite, degree_profile
+from degpow.asymptotics import best_biclique_split, optimize_c, split_objective
 
 CLOSED_FORMS = {
     1: ("1/2", 0.5),
@@ -37,12 +36,7 @@ def main() -> int:
     print(f"best integer split of K_(b,n-b) at n = {n}")
     print("p   b*      b*/n      c(p)            |b*/n - c(p)|")
     for p in (2, 4, 6):
-        best_val = -1
-        best_b = 0
-        for b in range(n // 2, n):
-            val = degree_profile(CompleteBipartite(b, n - b)).power_sum(p)
-            if val > best_val:
-                best_val, best_b = val, b
+        best_b, _ = best_biclique_split(n, p)
         c = optimize_c(p)
         ratio = best_b / n
         print(f"{p}   {best_b}    {ratio:.4f}    {c:.10f}    {abs(ratio - c):.2e}")

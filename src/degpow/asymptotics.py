@@ -15,12 +15,11 @@ that arise when classifying how outside vertices attach to a dominant hub
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
-
-import numpy as np
+from typing import Callable, Optional, Sequence, Union
 
 from .constructions import DegreeProfile
 
@@ -280,15 +279,33 @@ def _check_half_open(a: Fraction, label: str) -> None:
 
 
 def expand_ep(family: ParametricFamily, p: int) -> NPolynomial:
-    """Exact expansion of the family's degree power sum as a polynomial in n."""
+    """Exact expansion of the family's degree power sum as a polynomial in n.
+
+    Each term count * degree**p, with count = c1*n + c0 and degree = s*n + b,
+    is expanded in one pass by the binomial theorem.  The sum is kept as
+    integer numerators over one common denominator, so Fractions are built
+    only for the final coefficients.
+    """
     if p < 1:
         raise ValueError(f"exponent p must be >= 1, got {p}")
-    total = NPolynomial(())
+    num = [0] * (p + 2)
+    den = 1
     for cnt, deg in family.terms:
-        cnt_poly = NPolynomial.of([cnt.intercept, cnt.slope])
-        deg_poly = NPolynomial.of([deg.intercept, deg.slope])
-        total = total + cnt_poly * deg_poly.power(p)
-    return total
+        q = math.lcm(deg.slope.denominator, deg.intercept.denominator)
+        r = math.lcm(cnt.slope.denominator, cnt.intercept.denominator)
+        s, b = int(deg.slope * q), int(deg.intercept * q)
+        c1, c0 = int(cnt.slope * r), int(cnt.intercept * r)
+        term_den = q ** p * r
+        if den % term_den:
+            grow = math.lcm(den, term_den) // den
+            num = [x * grow for x in num]
+            den *= grow
+        scale = den // term_den
+        for k in range(p + 1):
+            term = math.comb(p, k) * s ** k * b ** (p - k) * scale
+            num[k] += c0 * term
+            num[k + 1] += c1 * term
+    return NPolynomial.of([Fraction(x, den) for x in num])
 
 
 def coefficient(poly: NPolynomial, k: int) -> Fraction:
@@ -361,14 +378,25 @@ class FPositivityReport:
     min_value: Fraction
     argmin: tuple[Fraction, Fraction]
     passed: bool
+    evaluated: int  # grid points actually scored; the rest were bounded away
 
 
 def verify_f_positive(p: int, step: RationalLike) -> FPositivityReport:
-    """Exact positivity sweep of f on the grid a = 1/2, 1/2+step, ..., 1-step
-    and y = step, 2*step, ..., <= 1-a.
+    """Exact minimum of f on the grid a = 1/2, 1/2+step, ..., 1-step and
+    y = step, 2*step, ..., <= 1-a.
 
     Every grid value is a multiple of 1/(2*step.denominator), so the sweep
     runs in scaled integer arithmetic and converts back only at the end.
+
+    In a row a, f = top(a) - h(y) with h(y) = (y+a)(R-y)^p + (R-y)a^p and
+    R = 1 - a, so the row minimum of f is top(a) minus the row maximum of h.
+    That maximum comes from an exact branch and bound over y: on
+    [y_i, y_j], h <= (y_j+a)(R-y_i)^p + (R-y_i)a^p, since each term is an
+    increasing factor times a decreasing one, and a range of y is dropped
+    only when that bound is strictly below the best h found, so the result
+    is the full grid's.  Ties go to the smallest y in a row and the earliest
+    row across rows, as in a point-by-point scan.  `grid_points` counts the
+    whole grid; `evaluated` counts the points actually scored.
     """
     if p < 1:
         raise ValueError(f"exponent p must be >= 1, got {p}")
@@ -380,25 +408,28 @@ def verify_f_positive(p: int, step: RationalLike) -> FPositivityReport:
     step_scaled = 2 * u
     min_scaled: Optional[int] = None
     argmin_scaled = (0, 0)
-    points = 0
+    points = evaluated = 0
     a_scaled = v  # a = 1/2
     while a_scaled <= scale - step_scaled:
         rest_max = scale - a_scaled
         ap = a_scaled ** p
-        y_scaled = step_scaled
-        while y_scaled <= rest_max:
-            rest = rest_max - y_scaled
-            val = (
-                a_scaled * rest_max ** p
-                + ap * rest_max
-                - (y_scaled + a_scaled) * rest ** p
-                - rest * ap
-            )
-            points += 1
-            if min_scaled is None or val < min_scaled:
-                min_scaled = val
-                argmin_scaled = (a_scaled, y_scaled)
-            y_scaled += step_scaled
+
+        def h(k: int) -> int:
+            y = k * step_scaled
+            return (y + a_scaled) * (rest_max - y) ** p + (rest_max - y) * ap
+
+        def h_upper(i: int, j: int) -> int:
+            rest = rest_max - i * step_scaled
+            return (j * step_scaled + a_scaled) * rest ** p + rest * ap
+
+        last = rest_max // step_scaled
+        k, h_max, scored = _first_argmax(h, h_upper, 1, last)
+        points += last
+        evaluated += scored
+        val = a_scaled * rest_max ** p + ap * rest_max - h_max
+        if min_scaled is None or val < min_scaled:
+            min_scaled = val
+            argmin_scaled = (a_scaled, k * step_scaled)
         a_scaled += step_scaled
     if min_scaled is None:
         raise ValueError(f"empty grid for step {step}")
@@ -410,6 +441,7 @@ def verify_f_positive(p: int, step: RationalLike) -> FPositivityReport:
         min_value=min_scaled / denom,
         argmin=(Fraction(argmin_scaled[0], scale), Fraction(argmin_scaled[1], scale)),
         passed=min_scaled > 0,
+        evaluated=evaluated,
     )
 
 
@@ -420,6 +452,29 @@ def verify_f_positive(p: int, step: RationalLike) -> FPositivityReport:
 def split_objective(x, p: int):
     """x(1-x)^p + x^p(1-x): normalized e_p of the biclique split (x, 1-x)."""
     return x * (1 - x) ** p + x ** p * (1 - x)
+
+
+def split_grid_max(p: int, intervals: int) -> tuple[float, float]:
+    """(x, split_objective(x, p)) at the first maximum over the grid
+    x_i = 1/2 + i * (1/2)/intervals, i = 0..intervals, in float64.
+
+    The objective has one maximum on [1/2, 1] (at 1/2 for p <= 3, inside
+    from p = 4 on), so a coarse pass over every stride-th point finds the
+    best coarse point, and the maximum lies within one stride of it; a fine
+    pass over that window finishes.  Float rounding can only reorder values
+    a few ulps apart, and near the maximum only the points next to the peak
+    are that close, so this is the full scan's answer at about
+    2*sqrt(intervals) evaluations.
+    """
+    step = 0.5 / intervals
+    stride = max(1, math.isqrt(intervals))
+
+    def value(i: int) -> float:
+        return split_objective(0.5 + i * step, p)
+
+    coarse = max([*range(0, intervals, stride), intervals], key=value)
+    i = max(range(max(coarse - stride, 0), min(coarse + stride, intervals) + 1), key=value)
+    return 0.5 + i * step, value(i)
 
 
 def optimize_c(p: int, tol: float = 1e-9) -> float:
@@ -438,11 +493,9 @@ def optimize_c(p: int, tol: float = 1e-9) -> float:
         raise ValueError(f"exponent p must be >= 1, got {p}")
     if not 0 < tol < 1e-2:
         raise ValueError(f"tol must be in (0, 1e-2), got {tol}")
-    xs = np.linspace(0.5, 1.0, 4097)
-    ys = xs * (1 - xs) ** p + xs ** p * (1 - xs)
-    i = int(np.argmax(ys))
-    lo = float(xs[max(i - 1, 0)])
-    hi = float(xs[min(i + 1, len(xs) - 1)])
+    x, _ = split_grid_max(p, 4096)  # grid points are multiples of 2^-13
+    lo = max(x - 2.0 ** -13, 0.5)
+    hi = min(x + 2.0 ** -13, 1.0)
     while hi - lo > tol:
         mid = (lo + hi) / 2
         if not lo < mid < hi:
@@ -464,17 +517,65 @@ def best_biclique_split(n: int, p: int) -> tuple[int, int]:
 
     Returns (b, value) with the b >= n/2 representative of the symmetric
     maximum, so b/n lands near c(p) for large n.
+
+    The smaller side b runs over 1..n//2 and g(b) = b(n-b)^p + (n-b)b^p is
+    maximized by an exact branch and bound: on [i, j], g <= j(n-i)^p +
+    (n-i)j^p, since each term is an increasing factor times a decreasing
+    one, and a range is dropped only when that bound is strictly below the
+    best g found.  Among tied maxima the smallest b wins, so the returned
+    side n - b is the largest tied one.
     """
     if n < 2:
         raise ValueError(f"need n >= 2 to split, got {n}")
     if p < 1:
         raise ValueError(f"exponent p must be >= 1, got {p}")
-    best_b, best_val = 1, -1
-    for b in range(1, n // 2 + 1):
-        val = b * (n - b) ** p + (n - b) * b ** p
-        if val > best_val:
-            best_b, best_val = b, val
-    return n - best_b, best_val
+
+    def g(b: int) -> int:
+        return b * (n - b) ** p + (n - b) * b ** p
+
+    def g_upper(i: int, j: int) -> int:
+        return j * (n - i) ** p + (n - i) * j ** p
+
+    b, value, _ = _first_argmax(g, g_upper, 1, n // 2)
+    return n - b, value
+
+
+_LEAF_WIDTH = 4  # intervals this narrow are scored point by point
+
+
+def _first_argmax(
+    value: Callable[[int], int], upper: Callable[[int, int], int], lo: int, hi: int
+) -> tuple[int, int, int]:
+    """Smallest i in [lo, hi] that maximizes value(i), exactly.
+
+    upper(i, j) must be at least value(k) for every k in [i, j].  Intervals
+    are taken highest bound first, halved, and scored point by point once
+    they are at most _LEAF_WIDTH wide.  An interval is dropped only when its
+    bound is strictly below the best value found so far, so every tied
+    maximizer is scored and the smallest index wins.
+
+    Returns (index, value, number of points scored).
+    """
+    best_i, best = lo, -math.inf  # the first leaf scored replaces it
+    scored = 0
+    heap = [(-upper(lo, hi), lo, hi)]
+    while heap:
+        neg_bound, i, j = heapq.heappop(heap)
+        if -neg_bound < best:
+            break  # every interval left is bounded below the best
+        if j - i < _LEAF_WIDTH:
+            for k in range(i, j + 1):
+                val = value(k)
+                if val > best or (val == best and k < best_i):
+                    best_i, best = k, val
+            scored += j - i + 1
+            continue
+        mid = (i + j) // 2
+        for a, b in ((i, mid), (mid + 1, j)):
+            bound = upper(a, b)
+            if bound >= best:
+                heapq.heappush(heap, (-bound, a, b))
+    return best_i, best, scored
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ closed forms (p <= 5) and a dense numpy grid beyond.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,9 @@ import pytest
 
 from degpow.asymptotics import (
     AffineForm,
+    FPositivityReport,
     NPolynomial,
+    _first_argmax,
     _frac,
     af,
     best_biclique_split,
@@ -28,6 +31,7 @@ from degpow.asymptotics import (
     gstar_np_coefficient,
     leading_coefficient,
     optimize_c,
+    split_grid_max,
     split_objective,
     subcase32_omega_coefficient,
     verify_f_positive,
@@ -118,6 +122,27 @@ def test_family_power_sum_matches_expansion():
         poly = expand_ep(fam, 3)
         for n in (20, 40, 100):
             assert poly.evaluate(n) == fam.power_sum_at(n, 3), name
+
+
+def test_expand_ep_matches_repeated_multiplication():
+    # reference: count form times p NPolynomial multiplications of the degree
+    families = [family_of("t2even"), family_of("t2odd")]
+    for a in (HALF, Fraction(3, 5), Fraction(5, 7), Fraction(11, 12)):
+        families += [family_of(name, a=a) for name in ("gprime", "gstar", "kbip", "case33")]
+        families += [
+            family_of("case31", a=a, y=(1 - a) / 3),
+            family_of("case4eq2", a=a, x=2, y=Fraction(7, 2)),
+            family_of("case4eq3", a=a, x=3),
+        ]
+    families.append(family_of("kbip", a=Fraction(1, 3)))
+    for fam in families:
+        for p in range(1, 10):
+            reference = NPolynomial(())
+            for cnt, deg in fam.terms:
+                cnt_poly = NPolynomial.of([cnt.intercept, cnt.slope])
+                deg_poly = NPolynomial.of([deg.intercept, deg.slope])
+                reference = reference + cnt_poly * deg_poly.power(p)
+            assert expand_ep(fam, p) == reference, (fam.name, fam.params, p)
 
 
 def test_profile_at_materializes_integral_points():
@@ -267,20 +292,38 @@ def test_verify_f_positive_single_point_grid():
 
 
 def test_verify_f_positive_matches_direct_evaluation():
-    step = Fraction(1, 16)
-    report = verify_f_positive(3, step)
-    direct = []
-    a = HALF
-    while a <= 1 - step:
-        y = step
-        while y <= 1 - a:
-            direct.append((f_value(a, y, 3), a, y))
-            y += step
-        a += step
-    assert report.grid_points == len(direct)
-    best = min(direct)
-    assert report.min_value == best[0]
-    assert report.argmin == (best[1], best[2])
+    steps = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(3, 16),
+             Fraction(1, 16), Fraction(1, 64), Fraction(1, 100)]
+    for p in range(1, 10):
+        for step in steps:
+            direct = []  # every grid point, scored with f_value
+            a = HALF
+            while a <= 1 - step:
+                y = step
+                while y <= 1 - a:
+                    direct.append((f_value(a, y, p), a, y))
+                    y += step
+                a += step
+            best = min(direct)  # smallest f, then smallest a, then smallest y
+            report = verify_f_positive(p, step)
+            expected = FPositivityReport(
+                p=p,
+                step=step,
+                grid_points=len(direct),
+                min_value=best[0],
+                argmin=(best[1], best[2]),
+                passed=best[0] > 0,
+                evaluated=report.evaluated,
+            )
+            assert report == expected, (p, step)
+            assert 0 < report.evaluated <= report.grid_points
+
+
+def test_verify_f_positive_scores_a_small_share_of_the_grid():
+    for p in (2, 5, 8):
+        report = verify_f_positive(p, Fraction(1, 512))
+        assert report.grid_points == 32896
+        assert report.evaluated < 0.05 * report.grid_points, (p, report.evaluated)
 
 
 def test_verify_f_positive_fine_grid_positive():
@@ -335,6 +378,26 @@ def test_optimize_c_agrees_with_dense_grid():
         assert abs(c - grid_argmax) <= 1e-5, p
 
 
+def test_split_grid_max_matches_the_full_scan():
+    def full_scan(p, intervals):
+        step = 0.5 / intervals
+        xs = [0.5 + i * step for i in range(intervals + 1)]
+        ys = [split_objective(x, p) for x in xs]
+        i = ys.index(max(ys))  # first maximum
+        return xs[i], ys[i]
+
+    for intervals in (1, 2, 7, 999, 4096):
+        for p in range(1, 41):
+            assert split_grid_max(p, intervals) == full_scan(p, intervals), (p, intervals)
+    for p in (3, 6, 9, 27):
+        assert split_grid_max(p, 100000) == full_scan(p, 100000), p
+    # the claim's grid is np.linspace(0.5, 1, 100001)
+    xs = np.linspace(0.5, 1.0, 100001)
+    for p in range(6, 10):
+        ys = xs * (1 - xs) ** p + xs ** p * (1 - xs)
+        assert split_grid_max(p, 100000)[1] == pytest.approx(float(ys.max()), rel=1e-15)
+
+
 def test_optimize_c_validation():
     with pytest.raises(ValueError):
         optimize_c(0)
@@ -357,17 +420,75 @@ def test_best_biclique_split_small_cases():
     assert best_biclique_split(10, 1) == (5, 50)
     b, val = best_biclique_split(10, 6)
     assert (b, val) == (9, 531450)
-    # brute cross-check including both symmetric halves
-    for n in (5, 9, 14):
-        for p in (1, 2, 4):
-            b, val = best_biclique_split(n, p)
-            brute = max(k * (n - k) ** p + (n - k) * k ** p for k in range(1, n))
-            assert val == brute
-            assert b >= n - b
+    # brute force over the smaller side; the first maximum wins a tie, so
+    # the reported larger side is the largest tied one
+    for n in range(2, 301):
+        for p in range(1, 10):
+            best_k, best_val = 1, -1
+            for k in range(1, n // 2 + 1):
+                val = k * (n - k) ** p + (n - k) * k ** p
+                if val > best_val:
+                    best_k, best_val = k, val
+            assert best_biclique_split(n, p) == (n - best_k, best_val), (n, p)
     with pytest.raises(ValueError):
         best_biclique_split(1, 2)
     with pytest.raises(ValueError):
         best_biclique_split(10, 0)
+
+
+# values of the exhaustive scan over every split
+LARGE_SPLITS = {
+    (100_000, 2): (50000, 250000000000000),
+    (100_000, 3): (50000, 12500000000000000000),
+    (100_000, 4): (78868, 833333333096607667200000),
+    (100_000, 5): (83223, 67088455561282851201909677022),
+    (100_000, 6): (85705, 5666007881909081059243429687500000),
+    (100_000, 7): (87499, 490874052541982766801291187351250599998),
+    (100_000, 8): (88889, 43304947659663652157902578389852203423300000),
+    (1_000_000, 2): (500000, 250000000000000000),
+    (1_000_000, 3): (500000, 125000000000000000000000),
+    (1_000_000, 4): (788675, 83333333333315217578125000000),
+    (1_000_000, 5): (832234, 67088455586635282570552545308957568),
+    (1_000_000, 6): (857051, 56660078819622811691796472905350995000000),
+    (1_000_000, 7): (874994, 49087405277496525043682121523305993679612640768),
+    (1_000_000, 8): (888889, 43304947663538680388415271584192702761193634233000000),
+}
+
+
+def test_best_biclique_split_large_orders_pinned():
+    for (n, p), expected in LARGE_SPLITS.items():
+        assert best_biclique_split(n, p) == expected, (n, p)
+
+
+def test_first_argmax_keeps_the_smallest_tied_maximizer():
+    def check(values, lo=0):
+        hi = lo + len(values) - 1
+        value = lambda k: values[k - lo]  # noqa: E731
+        upper = lambda i, j: max(values[i - lo:j - lo + 1])  # noqa: E731  exact bound
+        loose = lambda i, j: upper(i, j) + 5  # noqa: E731
+        # exact on the left end, loose elsewhere: a later tie is found first
+        right_loose = lambda i, j: upper(i, j) + 5 * (i > lo)  # noqa: E731
+        best = max(values)
+        want = lo + values.index(best)
+        for bound in (upper, loose, right_loose):
+            k, val, scored = _first_argmax(value, bound, lo, hi)
+            assert (k, val) == (want, best), (values, lo)
+            assert 1 <= scored <= len(values)
+
+    check([7])
+    check([3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3])               # one long plateau
+    check([0, 1, 5, 2, 5, 5, 1, 5, 0, 0, 0, 0, 5])          # four tied maxima
+    check([1, 2, 3, 4, 5, 6, 7, 8, 9, 9, 9, 9, 9, 9, 9])     # plateau at the right end
+    check([9, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 9])  # ties at both ends
+    check([-4, -2, -2, -9, -2], lo=17)                      # negative values, offset range
+    for seed in range(50):
+        rng = random.Random(seed)
+        check([rng.randint(0, 4) for _ in range(rng.randint(1, 40))], lo=rng.randint(-3, 3))
+    # a tight bound on a single peak scores only a few points
+    peak = [-(k - 700) ** 2 for k in range(1000)]
+    _, _, scored = _first_argmax(
+        lambda k: peak[k], lambda i, j: peak[min(max(700, i), j)], 0, 999)
+    assert scored < 50
 
 
 # ---------------------------------------------------------------------------
