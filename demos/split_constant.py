@@ -10,6 +10,7 @@ exact best integer split K_{b,n-b} with best_biclique_split, and shows b/n
 landing within 10^-2 of c(p).
 """
 
+import math
 import sys
 
 from degpow.asymptotics import best_biclique_split, optimize_c, split_objective
@@ -19,7 +20,7 @@ CLOSED_FORMS = {
     2: ("1/2", 0.5),
     3: ("1/2", 0.5),
     4: ("(1+3^-1/2)/2", (1 + 3 ** -0.5) / 2),
-    5: ("via t*=(4-sqrt(10))/6", 0.8322342685755201),
+    5: ("via t*=(4-sqrt(10))/6", (1 + math.sqrt(1 - 4 * (4 - math.sqrt(10)) / 6)) / 2),
 }
 
 

@@ -4,8 +4,9 @@ A family is a list of (count, degree) pairs whose entries are affine forms
 c*n + b with rational coefficients.  Expanding sum(count * degree**p) by the
 binomial theorem gives an exact polynomial in n of degree p + 1 over the
 rationals, so leading-coefficient identities and dominance comparisons are
-decided by exact arithmetic, never by floating point.  Floats appear in one
-place only: the bisection optimizer for the split constant c(p).
+decided by exact arithmetic, never by floating point.  So is the split
+constant c(p), which split_constant brackets between dyadic rationals;
+optimize_c gives the float view.
 
 The family catalog covers the two rewired hub constructions (gprime, gstar),
 complete bipartite splits (kbip, t2even, t2odd), and the bounding families
@@ -16,6 +17,7 @@ that arise when classifying how outside vertices attach to a dominant hub
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -454,62 +456,85 @@ def split_objective(x, p: int):
     return x * (1 - x) ** p + x ** p * (1 - x)
 
 
-def split_grid_max(p: int, intervals: int) -> tuple[float, float]:
-    """(x, split_objective(x, p)) at the first maximum over the grid
-    x_i = 1/2 + i * (1/2)/intervals, i = 0..intervals, in float64.
+@dataclass(frozen=True, slots=True)
+class SplitConstant:
+    """Dyadic bracket lo <= c(p) <= hi from split_constant."""
 
-    The objective has one maximum on [1/2, 1] (at 1/2 for p <= 3, inside
-    from p = 4 on), so a coarse pass over every stride-th point finds the
-    best coarse point, and the maximum lies within one stride of it; a fine
-    pass over that window finishes.  Float rounding can only reorder values
-    a few ulps apart, and near the maximum only the points next to the peak
-    are that close, so this is the full scan's answer at about
-    2*sqrt(intervals) evaluations.
-    """
-    step = 0.5 / intervals
-    stride = max(1, math.isqrt(intervals))
+    lo: Fraction
+    hi: Fraction
+    sign_changes: int  # Descartes count for the roots of f' in (1/2, 1)
+    slopes: tuple[int, int]  # exact signs of f' at lo and at hi
 
-    def value(i: int) -> float:
-        return split_objective(0.5 + i * step, p)
+    @property
+    def certified(self) -> bool:
+        return self.sign_changes == 0 or (self.sign_changes == 1 and self.slopes == (1, -1))
 
-    coarse = max([*range(0, intervals, stride), intervals], key=value)
-    i = max(range(max(coarse - stride, 0), min(coarse + stride, intervals) + 1), key=value)
-    return 0.5 + i * step, value(i)
+    @property
+    def midpoint(self) -> float:
+        return float((self.lo + self.hi) / 2)
 
 
-def optimize_c(p: int, tol: float = 1e-9) -> float:
-    """argmax of the split objective on [1/2, 1].
+def split_constant(p: int, tol: float = 1e-9) -> SplitConstant:
+    """Exact bracket, at most tol wide, around c(p), the argmax of
+    f(x) = x(1-x)^p + x^p(1-x) on [1/2, 1].
 
-    Dense grid bracketing followed by bisection on the sign of the
-    derivative f'(x) = (1-x)^p - p x (1-x)^(p-1) + p x^(p-1) (1-x) - x^p,
-    then an explicit comparison against the endpoint x = 1/2 (the maximum
-    sits there for p <= 3 and moves interior from p = 4 on).
-
-    tol bounds the final bracket width, so the argmax is placed to within
-    tol / 2.  The interior maximum is a simple root of f', whose sign float64
-    resolves to within a few ulps, so every tol down to about 1e-15 is met.
+    With t = x(1-x), f = F(t) = t*q_{p-1}(t), where q_m(t) = x^m + (1-x)^m
+    has q_0 = 2, q_1 = 1 and q_m = q_{m-1} - t*q_{m-2}, so F' has integer
+    coefficients.  As x runs over [1/2, 1], t falls from 1/4 to 0, so f'(x)
+    and F'(t) have opposite signs, and F'(0) > 0.  Descartes' rule bounds
+    the roots of F' in (0, 1/4) by the sign changes of (1+w)^d F'(1/(4(1+w))),
+    a Taylor shift of the reversed, scaled F', and a count of 0 or 1 is
+    exact (Collins-Akritas 1976).  With 0 (p <= 3), f falls on (1/2, 1], so
+    c = 1/2.  With 1, f rises and then falls, and x is bisected over dyadic
+    rationals on the exact sign of F' at t = m(2^e - m)/4^e, m odd; F'(0) =
+    1, so by the rational root theorem no such t is a root.  More sign changes
+    (none for p <= 2000) leave [1/2, 1] whole and the bracket uncertified.
     """
     if p < 1:
         raise ValueError(f"exponent p must be >= 1, got {p}")
     if not 0 < tol < 1e-2:
         raise ValueError(f"tol must be in (0, 1e-2), got {tol}")
-    x, _ = split_grid_max(p, 4096)  # grid points are multiples of 2^-13
-    lo = max(x - 2.0 ** -13, 0.5)
-    hi = min(x + 2.0 ** -13, 1.0)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if not lo < mid < hi:
-            break  # adjacent floats
-        rest = 1 - mid
-        slope = rest ** p - p * mid * rest ** (p - 1) + p * mid ** (p - 1) * rest - mid ** p
-        if slope > 0:
-            lo = mid
-        else:
-            hi = mid
-    interior = (lo + hi) / 2
-    if split_objective(0.5, p) >= split_objective(interior, p):
-        return 0.5
-    return interior
+    q_prev, q = [2], [1]  # q_0 and q_1, low power first
+    for _ in range(p - 1):
+        q_prev, q = q, [a - b for a, b in itertools.zip_longest(q, [0, *q_prev], fillvalue=0)]
+    slope = [(i + 1) * c for i, c in enumerate(q_prev)]  # F' = (t*q_{p-1})'
+    d = len(slope) - 1
+    shifted = [slope[d - k] << 2 * k for k in range(d + 1)]  # 4^d F'(1/(4u))
+    for i in range(d):  # Taylor shift u = 1 + w, additions only
+        for j in range(d - 1, i - 1, -1):
+            shifted[j] += shifted[j + 1]
+    signs = [c > 0 for c in shifted if c]
+    changes = sum(a != b for a, b in zip(signs, signs[1:]))
+    m, e = 1, 1  # the bracket is [m, m + 1] / 2^e
+    while changes == 1 and 2.0 ** -e > tol:
+        m, e = 2 * m, e + 1
+        if _slope_sign(slope, m + 1, 1 << e) > 0:
+            m += 1
+    ends = (m, m + (changes > 0))
+    lo, hi = (Fraction(k, 1 << e) for k in ends)
+    slopes = tuple(_slope_sign(slope, k, 1 << e) for k in ends)
+    return SplitConstant(lo, hi, changes, slopes)
+
+
+def _slope_sign(slope: list[int], num: int, den: int) -> int:
+    """Sign of f' at x = num/den in [1/2, 1]: minus the sign of F' at
+    t = num(den - num)/den^2, by integer Horner; f'(1/2) = 0 by symmetry."""
+    if 2 * num == den:
+        return 0
+    t_num, t_den = num * (den - num), den * den
+    acc, scale = 0, 1
+    for c in reversed(slope):
+        acc, scale = acc * t_num + c * scale, scale * t_den
+    return (acc < 0) - (acc > 0)
+
+
+def optimize_c(p: int, tol: float = 1e-9) -> float:
+    """c(p) as a float: the midpoint of split_constant(p, tol), so within
+    tol / 2 of c(p); float64 holds that dyadic exactly for tol >= 2^-52."""
+    bracket = split_constant(p, tol)
+    if not bracket.certified:
+        raise ArithmeticError(f"c({p}) is not isolated: {bracket}")
+    return bracket.midpoint
 
 
 def best_biclique_split(n: int, p: int) -> tuple[int, int]:

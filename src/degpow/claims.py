@@ -8,7 +8,6 @@ are serialized as fraction strings so reports stay exact and byte-stable.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -27,7 +26,7 @@ from .asymptotics import (
     gstar_np_coefficient,
     leading_coefficient,
     optimize_c,
-    split_grid_max,
+    split_constant,
     split_objective,
     subcase32_omega_coefficient,
     verify_f_positive,
@@ -254,35 +253,22 @@ def claim_f_positivity(*, p: int = 2, step: RationalLike = Fraction(1, 512)) -> 
     return _report("f-positivity", p, {"step": _s(report.step)}, report.passed, witness)
 
 
-# closed forms for the split constant where the t = x(1-x) substitution
-# resolves the stationary point; used as the optimizer's oracle
-def _c_closed_form(p: int) -> Optional[float]:
-    if p <= 3:
-        return 0.5
-    if p == 4:
-        return (1 + 3 ** -0.5) / 2
-    if p == 5:
-        t_star = (4 - math.sqrt(10)) / 6
-        return (1 + math.sqrt(1 - 4 * t_star)) / 2
-    return None
-
-
 def claim_optimizer(*, p: int = 2, tol: float = 1e-9) -> dict:
-    """The split-constant optimizer agrees with closed forms (p <= 5) or a
-    dense grid (beyond), and always weakly beats the balanced split."""
+    """c(p) is bracketed exactly: the Descartes count for the roots of f' in
+    (1/2, 1) is 0 (c = 1/2), or 1 with f' > 0 at the bracket's low end and
+    f' < 0 at its high end, and the bracket is at most tol wide.  The
+    witness gives the bracket, the count, and the float view c (the
+    midpoint) with f(c)."""
     _check_p(p)
-    c = optimize_c(p, tol)
-    f_c = split_objective(c, p)
-    closed = _c_closed_form(p)
-    if closed is not None:
-        ok = abs(c - closed) <= max(10 * tol, 1e-12)
-        reference = {"closed_form": closed}
-    else:
-        _, grid_best = split_grid_max(p, 100000)
-        ok = f_c >= grid_best - 1e-12
-        reference = {"grid_max": grid_best}
-    ok = ok and 0.5 <= c < 1 and f_c >= split_objective(0.5, p) - 1e-15
-    witness = {"c": c, "f_c": f_c, **reference}
+    bracket = split_constant(p, tol)
+    c = bracket.midpoint
+    witness = {
+        "c": c,
+        "f_c": split_objective(c, p),
+        "bracket": [_s(bracket.lo), _s(bracket.hi)],
+        "sign_changes": bracket.sign_changes,
+    }
+    ok = bracket.certified and bracket.hi - bracket.lo <= tol
     return _report("optimizer", p, {"tol": tol}, ok, witness)
 
 

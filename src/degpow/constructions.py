@@ -206,15 +206,8 @@ def build(spec: ConstructionSpec) -> SmallGraph:
     if isinstance(spec, Turan):
         n, r = spec.n, spec.r
         q, s = divmod(n, r)
-        sizes = [q + 1] * s + [q] * (r - s)
-        bounds = []
-        start = 0
-        for sz in sizes:
-            bounds.append(range(start, start + sz))
-            start += sz
-        for i in range(r):
-            for j in range(i + 1, r):
-                edges.extend((u, v) for u in bounds[i] for v in bounds[j])
+        part = [i for i in range(r) for _ in range(q + (i < s))]  # s classes of q + 1 first
+        edges = [(u, v) for v in range(n) for u in range(v) if part[u] != part[v]]
     elif isinstance(spec, CompleteBipartite):
         edges = [(u, spec.a + v) for u in range(spec.a) for v in range(spec.b)]
     elif isinstance(spec, JoinCliqueEmpty):

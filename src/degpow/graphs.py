@@ -39,16 +39,7 @@ class SmallGraph:
             yield b.bit_length() - 1
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for v in range(self.order):
-            m = self.rows[v] >> (v + 1)
-            u = v + 1
-            while m:
-                if m & 1:
-                    out.append((v, u))
-                m >>= 1
-                u += 1
-        return out
+        return [(v, u) for v in range(self.order) for u in self.neighbors(v) if u > v]
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
@@ -95,11 +86,7 @@ def induced_subgraph(g: SmallGraph, vertices: Iterable[int]) -> SmallGraph:
         pos[v] = i
     rows = [0] * len(order)
     for v in order:
-        m = g.rows[v]
-        while m:
-            b = m & -m
-            m ^= b
-            u = b.bit_length() - 1
+        for u in g.neighbors(v):
             if u in pos:
                 rows[pos[v]] |= 1 << pos[u]
     return SmallGraph(len(order), tuple(rows))
@@ -136,15 +123,7 @@ def _has_c5_through_edge(rows, u: int, v: int) -> bool:
 
 
 def _has_c5(rows, n: int) -> bool:
-    for v in range(n):
-        m = rows[v] >> (v + 1)
-        u = v + 1
-        while m:
-            if m & 1 and _has_c5_through_edge(rows, v, u):
-                return True
-            m >>= 1
-            u += 1
-    return False
+    return any(_has_c5_through_edge(rows, v, u) for v, u in combinations(range(n), 2) if rows[v] >> u & 1)
 
 
 def contains_cycle(g: SmallGraph, k: int) -> bool:
@@ -236,7 +215,15 @@ def _canonical_permutation(g: SmallGraph) -> list[int]:
     Candidates at each position are restricted to the refinement cell that
     owns it (cells in ascending color), which is sound because the cell
     sequence is isomorphism-invariant.  Branch and bound on the per-position
-    column bits keeps the search far below the factorial worst case.
+    column bits keeps the search far below the factorial worst case: at
+    each position only the candidates with the smallest column are placed,
+    and only when that column is no worse than the best found there.
+
+    u and v are twins when N(u) - {v} = N(v) - {u}.  Every permutation of a
+    twin class is an automorphism, so reordering a class leaves the
+    bitstring unchanged, and a vertex is placed only after all of its
+    smaller twins.  Without this, K_{a,b}, the empty graph and the book
+    graph K2 + empty(n-2) would walk every order of their large cells.
     """
     n = g.order
     if n == 0:
@@ -246,40 +233,45 @@ def _canonical_permutation(g: SmallGraph) -> list[int]:
     by_color: dict[int, list[int]] = {}
     for v in range(n):
         by_color.setdefault(colors[v], []).append(v)
-    slot_cells: list[list[int]] = []
-    for c in sorted(by_color):
-        cell = by_color[c]
-        slot_cells.extend([cell] * len(cell))
-
+    slot_cells = [cell for c in sorted(by_color) for cell in [by_color[c]] * len(by_color[c])]
+    smaller_twins = [0] * n
+    for v, u in combinations(range(n), 2):
+        if rows[u] & ~(1 << v) == rows[v] & ~(1 << u):
+            smaller_twins[u] |= 1 << v
     INF = 1 << (n + 1)
     best = [INF] * n
     best_perm: list[int] | None = None
     placed: list[int] = []
+    placed_mask = 0
 
     def assign(t: int) -> None:
-        nonlocal best_perm
+        nonlocal best_perm, placed_mask
         if t == n:
             if best_perm is None:
                 best_perm = placed.copy()
             return
+        cols = {}
         for v in slot_cells[t]:
-            if v in placed:
+            if placed_mask >> v & 1 or smaller_twins[v] & ~placed_mask:
                 continue
-            row = rows[v]
-            col = 0
+            row, col = rows[v], 0
             for i, u in enumerate(placed):
                 if (row >> u) & 1:
                     col |= 1 << i
-            if col > best[t]:
-                continue
-            if col < best[t]:
-                best[t] = col
-                for j in range(t + 1, n):
-                    best[j] = INF
-                best_perm = None
-            placed.append(v)
-            assign(t + 1)
-            placed.pop()
+            cols[v] = col
+        low = min(cols.values())
+        if low > best[t]:
+            return
+        if low < best[t]:
+            best[t:] = [low] + [INF] * (n - t - 1)
+            best_perm = None
+        for v, col in cols.items():
+            if col == low:
+                placed.append(v)
+                placed_mask |= 1 << v
+                assign(t + 1)
+                placed_mask ^= 1 << v
+                placed.pop()
 
     assign(0)
     assert best_perm is not None

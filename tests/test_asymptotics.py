@@ -1,12 +1,14 @@
 """Symbolic expansion of family power sums, coefficient identities behind the
 case analysis, the f-positivity sweep, and the split-constant optimizer.
 
-Everything rational is checked exactly; the optimizer is checked against
-closed forms (p <= 5) and a dense numpy grid beyond.
+Everything rational is checked exactly; the bracket around c(p) is checked
+by exact sign tests against the closed forms (p <= 5) and by independent
+evaluation of f', and its float view against a dense numpy grid.
 """
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,7 @@ from degpow.asymptotics import (
     AffineForm,
     FPositivityReport,
     NPolynomial,
+    SplitConstant,
     _first_argmax,
     _frac,
     af,
@@ -31,7 +34,7 @@ from degpow.asymptotics import (
     gstar_np_coefficient,
     leading_coefficient,
     optimize_c,
-    split_grid_max,
+    split_constant,
     split_objective,
     subcase32_omega_coefficient,
     verify_f_positive,
@@ -378,24 +381,74 @@ def test_optimize_c_agrees_with_dense_grid():
         assert abs(c - grid_argmax) <= 1e-5, p
 
 
-def test_split_grid_max_matches_the_full_scan():
-    def full_scan(p, intervals):
-        step = 0.5 / intervals
-        xs = [0.5 + i * step for i in range(intervals + 1)]
-        ys = [split_objective(x, p) for x in xs]
-        i = ys.index(max(ys))  # first maximum
-        return xs[i], ys[i]
+def exact_slope(x: Fraction, p: int) -> Fraction:
+    """f'(x) for f = x(1-x)^p + x^p(1-x), term by term."""
+    return (1 - x) ** p - p * x * (1 - x) ** (p - 1) + p * x ** (p - 1) * (1 - x) - x ** p
 
-    for intervals in (1, 2, 7, 999, 4096):
-        for p in range(1, 41):
-            assert split_grid_max(p, intervals) == full_scan(p, intervals), (p, intervals)
-    for p in (3, 6, 9, 27):
-        assert split_grid_max(p, 100000) == full_scan(p, 100000), p
-    # the claim's grid is np.linspace(0.5, 1, 100001)
-    xs = np.linspace(0.5, 1.0, 100001)
-    for p in range(6, 10):
-        ys = xs * (1 - xs) ** p + xs ** p * (1 - xs)
-        assert split_grid_max(p, 100000)[1] == pytest.approx(float(ys.max()), rel=1e-15)
+
+def sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def test_split_constant_counts_one_interior_maximum_from_p_4():
+    for p in range(1, 101):
+        bracket = split_constant(p, 1e-3)
+        assert bracket.sign_changes == (0 if p <= 3 else 1), p
+        assert bracket.certified, p
+        if p <= 3:
+            assert bracket.lo == bracket.hi == HALF
+
+
+def test_split_constant_brackets_the_closed_forms():
+    # with t = x(1-x), falling on [1/2, 1]: c(4) has t = 1/6 and c(5) solves
+    # 6t^2 - 8t + 1 = 0, so the roots sit strictly between t(hi) and t(lo)
+    t = lambda x: x * (1 - x)  # noqa: E731
+    for tol in (1e-3, 1e-9, 1e-15):
+        b4, b5 = split_constant(4, tol), split_constant(5, tol)
+        assert t(b4.lo) > Fraction(1, 6) > t(b4.hi)
+        quad = lambda x: 6 * t(x) ** 2 - 8 * t(x) + 1  # noqa: E731
+        assert sign(quad(b5.lo)) == -sign(quad(b5.hi)) != 0
+
+
+def test_split_constant_width_and_end_slopes_are_exact():
+    for p in range(1, 41):
+        for tol in (1e-3, 1e-6, 1e-9, 1e-12, 1e-15):
+            bracket = split_constant(p, tol)
+            assert 0 <= bracket.hi - bracket.lo <= tol, (p, tol)
+            assert bracket.lo.denominator & (bracket.lo.denominator - 1) == 0  # dyadic
+            assert bracket.slopes == (sign(exact_slope(bracket.lo, p)), sign(exact_slope(bracket.hi, p)))
+            if p >= 4:
+                assert bracket.slopes == (1, -1), (p, tol)
+            assert optimize_c(p, tol) == float((bracket.lo + bracket.hi) / 2)
+
+
+def test_split_constant_uncertified_brackets():
+    assert not SplitConstant(HALF, Fraction(1), 3, (0, -1)).certified
+    assert not SplitConstant(HALF, Fraction(3, 4), 1, (0, -1)).certified
+    assert SplitConstant(Fraction(3, 4), Fraction(7, 8), 1, (1, -1)).certified
+
+
+def test_claim_optimizer_witness_is_the_bracket():
+    for p in range(1, 10):
+        report = claim_optimizer(p=p, tol=1e-12)
+        w = report["witness"]
+        assert report["pass"], p
+        assert set(w) == {"c", "f_c", "bracket", "sign_changes"}
+        lo, hi = (Fraction(x) for x in w["bracket"])
+        assert lo <= Fraction(w["c"]) <= hi and hi - lo <= Fraction(1e-12)
+        assert w["sign_changes"] == (0 if p <= 3 else 1)
+        assert w["f_c"] == split_objective(w["c"], p)
+
+
+def test_optimize_c_large_exponents():
+    start = time.perf_counter()
+    c = optimize_c(1000)
+    elapsed = time.perf_counter() - start
+    # c(p) = 1 - 1/p + O(1/p^2): the maximum moves toward the lopsided split
+    assert 1 - 1 / 1000 - 1e-5 < c < 1 - 1 / 1000 + 1e-5
+    assert elapsed < 5.0, f"optimize_c(1000) took {elapsed:.2f} s"
+    for p in (100, 200, 300):
+        assert claim_optimizer(p=p, tol=1e-12)["pass"], p
 
 
 def test_optimize_c_validation():

@@ -3,6 +3,7 @@ biclique recognition, graph6 codec.  Randomized checks are seeded and every
 detector is cross-checked against a structure-free oracle or networkx."""
 
 import random
+import time
 from itertools import combinations
 
 import networkx as nx
@@ -12,6 +13,7 @@ from degpow.graphs import (
     MAX_ORDER,
     CapacityError,
     SmallGraph,
+    _refine_colors,
     canonical_form,
     canonical_relabel,
     contains_cycle,
@@ -226,6 +228,80 @@ def test_canonical_relabel_is_idempotent_and_isomorphic():
 
 def test_canonical_form_empty_graph():
     assert canonical_form(SmallGraph(0, ())) == b"?"
+
+
+def reference_relabel(g):
+    """canonical_relabel without the twin rule: branch and bound over every
+    vertex order that follows the refinement cells, as the labeler did
+    before twins were pruned."""
+    n, rows = g.order, g.rows
+    colors = _refine_colors(rows, n)
+    slots = [[v for v in range(n) if colors[v] == c] for c in sorted(colors)]
+    best = [1 << (n + 1)] * n
+    found = []
+
+    def assign(placed):
+        t = len(placed)
+        if t == n:
+            if not found:
+                found.append(placed[:])
+            return
+        for v in slots[t]:
+            if v in placed:
+                continue
+            col = sum(1 << i for i, u in enumerate(placed) if rows[v] >> u & 1)
+            if col > best[t]:
+                continue
+            if col < best[t]:
+                best[t:] = [col] + [1 << (n + 1)] * (n - t - 1)
+                found.clear()
+            assign(placed + [v])
+
+    assign([])
+    pos = {v: i for i, v in enumerate(found[0])} if n else {}
+    return from_edges(n, [(pos[u], pos[v]) for u, v in g.edges()])
+
+
+def book(n):
+    """K2 joined to n - 2 isolated vertices: the two hubs are true twins and
+    the pages false twins."""
+    return from_edges(n, [(0, 1)] + [(h, v) for h in (0, 1) for v in range(2, n)])
+
+
+def complete_bipartite(a, b):
+    return from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+def test_twin_pruning_keeps_the_canonical_relabeling():
+    rng = random.Random(4321)
+    graphs = [random_graph(rng, rng.randint(0, 9), rng.uniform(0.2, 0.8)) for _ in range(1000)]
+    # twin-heavy graphs: the reference walks every order of their large
+    # cells, which costs seconds at n = 9, so these stop at n = 7
+    graphs += [from_edges(7, []), from_edges(7, combinations(range(7), 2)),
+               complete_bipartite(3, 4), complete_bipartite(2, 5), book(7)]
+    for g in graphs:
+        assert canonical_relabel(g) == reference_relabel(g), to_graph6(g)
+
+
+@pytest.mark.parametrize("g", [
+    complete_bipartite(4, 4),
+    complete_bipartite(6, 6),
+    complete_bipartite(3, 8),
+    complete_bipartite(20, 20),
+    from_edges(12, []),
+    from_edges(12, combinations(range(12), 2)),
+    from_edges(MAX_ORDER, []),
+    book(11),
+    book(30),
+], ids=["K4,4", "K6,6", "K3,8", "K20,20", "empty12", "K12", "empty64", "book11", "book30"])
+def test_canonical_relabel_of_twin_heavy_graphs_is_fast(g):
+    rng = random.Random(g.order)
+    start = time.perf_counter()
+    cg = canonical_relabel(g)
+    assert canonical_relabel(permuted(rng, g)) == cg
+    assert time.perf_counter() - start < 0.5
+    assert sorted(degree_sequence(cg)) == sorted(degree_sequence(g))
+    assert canonical_relabel(cg) == cg
 
 
 # ---------------------------------------------------------------------------
