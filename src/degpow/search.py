@@ -1,15 +1,23 @@
 """Exhaustive search over C5-free graphs and structural validators.
 
-The enumerator walks edge-inclusion decisions in a fixed order and cuts the
-include branch the moment the new edge would close a 5-cycle; containment is
-monotone, so the cut is exact and every labeled C5-free graph is visited
-exactly once.  Labeled counts grow fast (9,369,687 at n = 8), which is why
-the leaf work is all bitmask arithmetic on raw adjacency rows; the SmallGraph
-API appears only at the edges of the module.
+Two walks visit every labeled C5-free graph exactly once, in the same order.
+The reference, enumerate_c5_free, decides the edges (0,1), (0,2), (1,2),
+(0,3), ... one at a time and cuts the include branch the moment the new edge
+would close a 5-cycle; containment is monotone, so the cut is exact.  Since
+that order lists (0,j), (1,j), ..., (j-1,j) together, it picks vertex j's
+neighbourhood S in {0..j-1} bit by bit, and joining j to S closes a 5-cycle
+exactly when two members of S end a path a-x-y-b on four distinct vertices
+of G[0..j-1].  The search and the sweeps therefore run _walk, which adds one
+vertex at a time: it finds those path ends once per graph on j vertices
+(_conflicts), after which each include test is one AND.  Taking the bits of
+S include-first reproduces the reference's leaf order, so ties and violation
+lists come out the same.  Labeled counts grow fast (9,369,687 at n = 8),
+which is why the leaf work is all bitmask arithmetic on raw adjacency rows;
+the SmallGraph API appears only at the edges of the module.
 
-The extremal search and the validator sweeps split the decision tree on the
-induced graph of the first k = min(PREFIX_ORDER, n - 2) vertices, whose
-k(k-1)/2 edges the edge order decides first.  Every later edge touches a
+The extremal search and the validator sweeps split the walk at the first
+k = min(PREFIX_ORDER, n - 2) vertices: _prefixes is the same walk stopped at
+k vertices, and its graphs are the prefixes.  Every later edge touches a
 vertex >= k, so a permutation of {0..k-1} maps the completions of one prefix
 one-to-one onto the completions of its image, keeping e_p, C5-freeness, the
 isomorphism class and every property the sweeps test.  Both walk one prefix
@@ -20,18 +28,18 @@ orbit again prefix by prefix only when its representative shows one.  With
 several workers the search's representatives are the units of work and
 results are merged in representative order, so worker count never changes
 the outcome.  DEGPOW_THREADS caps the worker count from the environment.
-The enumerator stays a full labeled walk.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from multiprocessing import Pool
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -62,27 +70,26 @@ def _edge_order(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
-def _run_tree(n: int, edges, start: int, rows, deg, leaf) -> None:
+def _run_tree(n: int, leaf) -> None:
+    """The edge-decision tree: leaf(rows) at every labeled C5-free graph."""
+    edges = _edge_order(n)
     m = len(edges)
+    rows = [0] * n
 
     def rec(i: int) -> None:
         if i == m:
-            leaf(rows, deg)
+            leaf(rows)
             return
         u, v = edges[i]
         if not _creates_c5(rows, u, v):
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-            deg[u] += 1
-            deg[v] += 1
             rec(i + 1)
             rows[u] &= ~(1 << v)
             rows[v] &= ~(1 << u)
-            deg[u] -= 1
-            deg[v] -= 1
         rec(i + 1)
 
-    rec(start)
+    rec(0)
 
 
 def _check_search_order(n: int, force: bool) -> None:
@@ -105,15 +112,15 @@ def enumerate_c5_free(n: int, visitor: Optional[Callable] = None, *, force: bool
     _check_search_order(n, force)
     count = 0
     if visitor is None:
-        def leaf(rows, deg):
+        def leaf(rows):
             nonlocal count
             count += 1
     else:
-        def leaf(rows, deg):
+        def leaf(rows):
             nonlocal count
             count += 1
             visitor(rows)
-    _run_tree(n, _edge_order(n), 0, [0] * n, [0] * n, leaf)
+    _run_tree(n, leaf)
     return count
 
 
@@ -163,26 +170,110 @@ def resolve_workers(requested: int) -> int:
     return min(requested, cap)
 
 
-def _prefixes(n: int, edges, depth: int) -> list[int]:
-    """All C5-free inclusion patterns over the first `depth` edges, in a
-    fixed DFS order (include branch first)."""
+def _conflicts(rows, j: int) -> list[int]:
+    """conflict[a] for each a < j: the vertices b that end a path a-x-y-b on
+    four distinct vertices of G[0..j-1].  A new vertex j joined to a and b
+    closes a 5-cycle exactly when bit b of conflict[a] is set.
+
+    For each x, `once` holds the vertices two steps from x and `twice` those
+    reached through at least two middles y.  A path from a needs y != a.  For
+    a neighbour x of a, the middle y = a reaches every neighbour of a, so a
+    neighbour b of a counts only when a second middle reaches it: b in twice.
+    """
+    bit_lists = _bit_lists(j)
+    reach = []
+    for x in range(j):
+        once = twice = 0
+        for y in bit_lists[rows[x]]:
+            twice |= once & rows[y]
+            once |= rows[y]
+        reach.append((once, twice))
+    conflict = []
+    for a in range(j):
+        others = ~rows[a]
+        ends = 0
+        for x in bit_lists[rows[a]]:
+            once, twice = reach[x]
+            ends |= once & (twice | others) & ~(1 << x)
+        conflict.append(ends & ~(1 << a))
+    return conflict
+
+
+def _picks(rows, j: int) -> list[int]:
+    """The neighbourhoods S in {0..j-1} that vertex j can take in the C5-free
+    graph G[0..j-1]: no two members of S in conflict.  S is grown bit by bit,
+    i = 0..j-1, the include branch first, which is the edge-decision tree's
+    order of its leaves."""
+    picks = [0]
+    for i, ends in enumerate(_conflicts(rows, j)):
+        bit = 1 << i
+        grown = []
+        for s in picks:
+            if not ends & s:
+                grown.append(s | bit)
+            grown.append(s)
+        picks = grown
+    return picks
+
+
+def _walk(n: int, j: int, rows, deg, leaf) -> None:
+    """Call leaf(rows, deg) at every C5-free graph on the first n vertices
+    that extends the C5-free graph G[0..j-1] held in rows and deg.
+
+    Recursion is by level only and defines no closure, so a walk leaves no
+    reference cycles.
+    """
+    if j == n:
+        leaf(rows, deg)
+        return
+    bit_lists = _bit_lists(j)
+    j_bit = 1 << j
+    last = j + 1 == n
+    for s in _picks(rows, j):
+        members = bit_lists[s]
+        for i in members:
+            rows[i] |= j_bit
+            deg[i] += 1
+        rows[j] = s
+        deg[j] = len(members)
+        if last:
+            leaf(rows, deg)
+        else:
+            _walk(n, j + 1, rows, deg, leaf)
+        for i in members:
+            rows[i] ^= j_bit
+            deg[i] -= 1
+    rows[j] = 0
+    deg[j] = 0
+
+
+@cache
+def _bit_lists(j: int) -> tuple[tuple[int, ...], ...]:
+    """Entry s lists the set bits of s in increasing order, for every subset s
+    of {0..j-1}."""
+    if j == 0:
+        return ((),)
+    shorter = _bit_lists(j - 1)
+    return shorter + tuple(members + (j - 1,) for members in shorter)
+
+
+def _edge_offsets(k: int) -> list[int]:
+    # edge (i, j) of _edge_order is bit j(j-1)/2 + i of a prefix mask
+    return [j * (j - 1) // 2 for j in range(k)]
+
+
+def _prefixes(k: int) -> list[int]:
+    """All C5-free graphs on vertices 0..k-1 as edge-index masks (bit t is
+    edge t of _edge_order), in walk order."""
     found: list[int] = []
-    rows = [0] * n
+    below = [(1 << j) - 1 for j in range(k)]
+    offsets = _edge_offsets(k)
 
-    def rec(i: int, mask: int) -> None:
-        if i == depth:
-            found.append(mask)
-            return
-        u, v = edges[i]
-        if not _creates_c5(rows, u, v):
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            rec(i + 1, mask | (1 << i))
-            rows[u] &= ~(1 << v)
-            rows[v] &= ~(1 << u)
-        rec(i + 1, mask)
+    def leaf(rows, deg):
+        # row j below bit j is vertex j's neighbourhood S, edges 0j..(j-1)j
+        found.append(sum(map(operator.lshift, map(operator.and_, rows, below), offsets)))
 
-    rec(0, 0)
+    _walk(k, 0, [0] * k, [0] * k, leaf)
     return found
 
 
@@ -190,46 +281,45 @@ def _prefix_order(n: int) -> int:
     return min(PREFIX_ORDER, max(n - 2, 0))
 
 
-def _prefix_representatives(n: int, edges, k: int) -> dict[int, int]:
+def _prefix_representatives(k: int) -> dict[int, int]:
     """Map each C5-free prefix on vertices 0..k-1, in _prefixes order, to the
     representative of its S_k orbit: the orbit's first prefix in that order."""
-    depth = k * (k - 1) // 2
-    index = {e: t for t, e in enumerate(edges[:depth])}
+    edges = _edge_order(k)
+    index = {e: t for t, e in enumerate(edges)}
     images = [
-        [1 << index[min(pi[u], pi[v]), max(pi[u], pi[v])] for u, v in edges[:depth]]
+        [1 << index[min(pi[u], pi[v]), max(pi[u], pi[v])] for u, v in edges]
         for pi in itertools.permutations(range(k))
     ]
-    prefixes = _prefixes(n, edges, depth)
+    prefixes = _prefixes(k)
     rep: dict[int, int] = {}
     for mask in prefixes:
         if mask not in rep:
-            bits = [t for t in range(depth) if (mask >> t) & 1]
+            bits = [t for t in range(len(edges)) if (mask >> t) & 1]
             rep.update(dict.fromkeys({sum(map(image.__getitem__, bits)) for image in images}, mask))
     return {mask: rep[mask] for mask in prefixes}
 
 
-def _prefix_orbits(n: int, edges, k: int) -> list[tuple[int, int]]:
+def _prefix_orbits(k: int) -> list[tuple[int, int]]:
     """(representative, orbit size) for each S_k orbit of the C5-free prefixes
     on vertices 0..k-1, representatives in _prefixes order."""
-    return list(Counter(_prefix_representatives(n, edges, k).values()).items())
+    return list(Counter(_prefix_representatives(k).values()).items())
 
 
-def _walk_prefix(n: int, mask: int, leaf) -> None:
-    """Call leaf(rows, deg) at every C5-free completion of the prefix `mask`
-    (edges among the first _prefix_order(n) vertices)."""
-    edges = _edge_order(n)
+def _walk_prefix(n: int, mask: int, leaf, stop: Optional[int] = None) -> None:
+    """Call leaf(rows, deg) at every C5-free graph on the first `stop`
+    vertices (default n) that extends the prefix `mask` (edges among the
+    first _prefix_order(n) vertices); rows and deg have length n."""
     k = _prefix_order(n)
-    depth = k * (k - 1) // 2
     rows = [0] * n
     deg = [0] * n
-    for t in range(depth):
-        if (mask >> t) & 1:
-            u, v = edges[t]
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            deg[u] += 1
-            deg[v] += 1
-    _run_tree(n, edges, depth, rows, deg, leaf)
+    for j, off in enumerate(_edge_offsets(k)):
+        s = (mask >> off) & ((1 << j) - 1)
+        rows[j] = s
+        deg[j] = s.bit_count()
+        for i in _bit_lists(j)[s]:
+            rows[i] |= 1 << j
+            deg[i] += 1
+    _walk(n if stop is None else stop, k, rows, deg, leaf)
 
 
 def _walk_orbits(n: int, subtree, *, pool=None, stats: Optional[SearchStats] = None) -> list:
@@ -238,7 +328,7 @@ def _walk_orbits(n: int, subtree, *, pool=None, stats: Optional[SearchStats] = N
     one prefix and returns a tuple that starts with its leaf count.  With a
     pool the representatives are the units of work."""
     start = time.perf_counter()
-    orbits = _prefix_orbits(n, _edge_order(n), _prefix_order(n))
+    orbits = _prefix_orbits(_prefix_order(n))
     grouped = time.perf_counter()
     masks = [mask for mask, _ in orbits]
     if pool is None:
@@ -263,26 +353,50 @@ def _walk_orbits(n: int, subtree, *, pool=None, stats: Optional[SearchStats] = N
 
 
 def _subtree_search(n: int, ps: Sequence[int], mask: int):
-    tables = [(p, [d ** p for d in range(n)]) for p in ps]
+    """(leaves, best e_p, its ties) for every p, below one prefix.
+
+    The walk stops one vertex short.  Each neighbourhood S in _picks of the
+    last vertex v = n-1 is then one leaf, and its e_p is that of G - v, plus
+    |S|^p, plus (d+1)^p - d^p for each member of S of degree d in G - v.
+    """
+    if n == 0:
+        return 1, {p: 0 for p in ps}, {p: [()] for p in ps}
+    last = n - 1
+    last_bit = 1 << last
+    tables = [(p, [d ** p for d in range(n + 1)]) for p in ps]
     best = {p: -1 for p in ps}
     ties: dict[int, list[tuple[int, ...]]] = {p: [] for p in ps}
     leaves = 0
 
-    def leaf(rows, deg):
+    def extend(rows, deg):
         nonlocal leaves
-        leaves += 1
+        picks = _picks(rows, last)
+        leaves += len(picks)
+        bit_lists = _bit_lists(last)
         for p, table in tables:
-            s = 0
+            base = 0
             for d in deg:
-                s += table[d]
-            if s >= best[p]:
-                if s > best[p]:
-                    best[p] = s
-                    ties[p] = [tuple(rows)]
-                else:
-                    ties[p].append(tuple(rows))
+                base += table[d]
+            gain = [table[d + 1] - table[d] for d in deg]
+            top = best[p]
+            for s in picks:
+                members = bit_lists[s]
+                score = base + table[len(members)]
+                for i in members:
+                    score += gain[i]
+                if score >= top:
+                    leaf = rows.copy()
+                    for i in members:
+                        leaf[i] |= last_bit
+                    leaf[last] = s
+                    if score > top:
+                        top = score
+                        ties[p] = [tuple(leaf)]
+                    else:
+                        ties[p].append(tuple(leaf))
+            best[p] = top
 
-    _walk_prefix(n, mask, leaf)
+    _walk_prefix(n, mask, extend, last)
     return leaves, best, ties
 
 
@@ -312,7 +426,6 @@ def search_extremal(
     *,
     workers: int = 1,
     force: bool = False,
-    edge_maximal_only: bool = False,
     stats: Optional[SearchStats] = None,
     _pool=None,
 ) -> dict[int, SearchResult]:
@@ -323,11 +436,6 @@ def search_extremal(
     relabelings, sorted by certificate, so output order is independent of
     worker count).  Only one prefix per S_k orbit is walked (see the module
     docstring); visited is the orbit-size-weighted sum of its leaves.
-
-    edge_maximal_only restricts the candidate set to graphs where no further
-    edge can be added without closing a 5-cycle.  Adding an edge never
-    decreases a power sum, so the restriction must not change any value;
-    tests hold it to that.
 
     stats, when given, accumulates counters and phase times.  _pool lets
     classification_report share one worker pool across orders.
@@ -377,8 +485,6 @@ def search_extremal(
         records: dict[bytes, MaximizerRecord] = {}
         for rows in ties[p]:
             g = SmallGraph(n, rows)
-            if edge_maximal_only and not _is_edge_maximal(rows, n):
-                continue
             canon_graph = canonical_relabel(g)
             relabeled += 1
             key = to_graph6(canon_graph).encode("ascii")
@@ -403,14 +509,6 @@ def search_extremal(
         stats.classes += sum(len(r.maximizers) for r in results.values())
         stats.merge_dedup_s += time.perf_counter() - walked
     return results
-
-
-def _is_edge_maximal(rows, n: int) -> bool:
-    for v in range(n):
-        for u in range(v + 1, n):
-            if not (rows[v] >> u) & 1 and not _creates_c5(rows, v, u):
-                return False
-    return True
 
 
 def ex_p(n: int, p: int, *, workers: int = 1, force: bool = False) -> SearchResult:
@@ -761,7 +859,7 @@ def _sweep(n: int, check, force: bool) -> SweepResult:
     dirty = {rep for rep, _, (_, _, found) in parts if found}
     violations: list[str] = []
     if dirty:
-        for mask, rep in _prefix_representatives(n, _edge_order(n), _prefix_order(n)).items():
+        for mask, rep in _prefix_representatives(_prefix_order(n)).items():
             if rep in dirty:
                 violations += subtree(mask)[2]
     return SweepResult(

@@ -4,7 +4,7 @@ detector is cross-checked against a structure-free oracle or networkx."""
 
 import random
 import time
-from itertools import combinations
+from itertools import combinations, permutations
 
 import networkx as nx
 import pytest
@@ -13,6 +13,7 @@ from degpow.graphs import (
     MAX_ORDER,
     CapacityError,
     SmallGraph,
+    _count_c5,
     _refine_colors,
     canonical_form,
     canonical_relabel,
@@ -146,6 +147,43 @@ def test_contains_cycle_matches_naive_oracle():
         g = random_graph(rng, n, rng.uniform(0.15, 0.75))
         for k in (3, 4, 5, 6):
             assert contains_cycle(g, k) == naive_contains_cycle(g, k), (to_graph6(g), k)
+
+
+def brute_c5_count(g):
+    """5-cycles as vertex sequences that start at their smallest vertex and
+    run in one of the two directions."""
+    rows = g.rows
+    count = 0
+    for comb in combinations(range(g.order), 5):
+        for a, b, c, d in permutations(comb[1:]):
+            if a < d and all((rows[x] >> y) & 1 for x, y in
+                             ((comb[0], a), (a, b), (b, c), (c, d), (d, comb[0]))):
+                count += 1
+    return count
+
+
+def test_c5_trace_formula_matches_naive_oracle():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(5, 9)
+        g = random_graph(rng, n, rng.uniform(0.1, 0.8))
+        assert _count_c5(g.rows) == brute_c5_count(g), to_graph6(g)
+        assert contains_cycle(g, 5) == naive_contains_cycle(g, 5), to_graph6(g)
+
+
+def test_c5_trace_formula_finds_a_lone_c5_in_sparse_graphs():
+    # one 5-cycle among a few random edges, pendant paths and isolated
+    # vertices, where most closed 5-walks are not cycles
+    rng = random.Random(12)
+    for _ in range(80):
+        n = rng.randint(5, 10)
+        cycle = rng.sample(range(n), 5)
+        edges = [(cycle[t], cycle[(t + 1) % 5]) for t in range(5)]
+        edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, n // 2))]
+        g = from_edges(n, edges)
+        assert naive_contains_cycle(g, 5)
+        assert contains_cycle(g, 5), to_graph6(g)
+        assert _count_c5(g.rows) == brute_c5_count(g) >= 1, to_graph6(g)
 
 
 def test_contains_cycle_matches_networkx_cycle_space():

@@ -1,7 +1,9 @@
 """Exhaustive-search layer: enumeration counts, extremal values, maximizer
 classification, and the neighborhood validators driven by the same walker."""
 
+import gc
 import itertools
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -18,11 +20,11 @@ from degpow.graphs import (
     degree_sequence,
     from_edges,
     from_graph6,
+    naive_contains_cycle,
     to_graph6,
 )
 from degpow.search import (
     SearchStats,
-    _edge_order,
     _prefix_orbits,
     _prefixes,
     classification_report,
@@ -91,6 +93,43 @@ def test_visitor_sees_raw_rows():
     assert (0, 0, 0) in seen  # empty graph comes out of the all-exclude branch
 
 
+def test_vertex_walk_visits_the_edge_tree_leaves_in_order():
+    # the walk that the search and the sweeps share against the labeled
+    # reference: same graphs, same order, degrees that match the rows
+    for n in range(0, 8):
+        reference = []
+        enumerate_c5_free(n, lambda rows: reference.append(hash(tuple(rows))))
+        walked = []
+
+        def leaf(rows, deg):
+            assert deg == [row.bit_count() for row in rows]
+            walked.append(hash(tuple(rows)))
+
+        search._walk(n, 0, [0] * n, [0] * n, leaf)
+        assert walked == reference, n
+
+
+def test_conflicts_are_the_pairs_that_close_a_c5():
+    rng = random.Random(3)
+    checked = closing = 0
+    while checked < 150:
+        n = rng.randint(2, 8)
+        density = rng.uniform(0.1, 0.6)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+        if naive_contains_cycle(from_edges(n, edges), 5):
+            continue
+        checked += 1
+        conflict = search._conflicts(from_edges(n, edges).rows, n)
+        for a in range(n):
+            assert not (conflict[a] >> a) & 1
+        for a, b in itertools.combinations(range(n), 2):
+            grown = from_edges(n + 1, edges + [(a, n), (b, n)])
+            closes = naive_contains_cycle(grown, 5)
+            closing += closes
+            assert bool((conflict[a] >> b) & 1) == bool((conflict[b] >> a) & 1) == closes, (edges, a, b)
+    assert closing > 100
+
+
 # ---------------------------------------------------------------------------
 # extremal values against the frozen oracle
 
@@ -141,15 +180,18 @@ def test_p2_maximizer_shapes():
     assert [rec.max_degree for rec in res6.maximizers] == [5]
 
 
-def test_edge_maximality_filter_never_drops_a_maximizer():
-    # adding an edge strictly raises every power sum, so each maximizer is
-    # already edge-maximal and the restriction must be a no-op
-    for n in range(1, 7):
-        plain = search_extremal(n, [1, 2, 3])
-        filtered = search_extremal(n, [1, 2, 3], edge_maximal_only=True)
+def test_every_maximizer_is_edge_maximal():
+    # adding an edge strictly raises every power sum, so no edge can be
+    # added to a maximizer without closing a 5-cycle
+    for n in range(1, 8):
+        found = search_extremal(n, [1, 2, 3])
         for p in (1, 2, 3):
-            assert plain[p].value == filtered[p].value
-            assert plain[p].maximizers == filtered[p].maximizers
+            for rec in found[p].maximizers:
+                g = rec.graph
+                for u, v in itertools.combinations(range(n), 2):
+                    if not g.has_edge(u, v):
+                        grown = from_edges(n, g.edges() + [(u, v)])
+                        assert naive_contains_cycle(grown, 5), (n, p, rec.canonical, u, v)
 
 
 def test_multi_p_single_pass_agrees_with_single_p():
@@ -217,9 +259,8 @@ def _atlas_c5_free_classes(k):
 
 def test_prefix_orbits_are_the_isomorphism_classes():
     for k, (labeled, classes) in {4: (64, 11), 5: (806, 26), 6: (13922, 80)}.items():
-        edges = _edge_order(k)
-        orbits = _prefix_orbits(k, edges, k)
-        prefixes = _prefixes(k, edges, len(edges))
+        orbits = _prefix_orbits(k)
+        prefixes = _prefixes(k)
         assert len(orbits) == classes == _atlas_c5_free_classes(k)
         assert sum(size for _, size in orbits) == len(prefixes) == labeled
 
@@ -261,12 +302,26 @@ def test_classification_report_shared_pool_matches_serial():
 
 
 def test_worker_count_does_not_change_results():
-    for n in (6, 7):
+    for n in (6, 7, 8):
         serial = search_extremal(n, range(1, 7))
         parallel = search_extremal(n, range(1, 7), workers=2)
         for p in range(1, 7):
             assert parallel[p].workers == 2
             assert replace(parallel[p], workers=1) == serial[p], (n, p)
+
+
+def test_walks_leave_no_reference_cycles():
+    # a walk that made a self-calling closure per node would leave tens of
+    # thousands of objects for the cycle collector after one n = 8 search
+    search_extremal(5, [2])
+    gc.collect()
+    gc.disable()
+    try:
+        search_extremal(8, [2])
+        sweep_observations(7)
+        assert gc.collect() < 1000
+    finally:
+        gc.enable()
 
 
 def test_resolve_workers_env_cap(monkeypatch):
