@@ -228,6 +228,19 @@ def _refine_colors(rows, n: int) -> list[int]:
         colors = new_colors
 
 
+def _smaller_twins(rows, n: int) -> list[int]:
+    """Entry v holds the twins u < v of v: N(u) - {v} = N(v) - {u}.
+
+    Twinship is an equivalence: a vertex cannot have both an adjacent and a
+    non-adjacent twin.  So the largest member of a class sees all the rest.
+    """
+    smaller = [0] * n
+    for u, v in combinations(range(n), 2):
+        if rows[u] & ~(1 << v) == rows[v] & ~(1 << u):
+            smaller[v] |= 1 << u
+    return smaller
+
+
 def _canonical_permutation(g: SmallGraph) -> list[int]:
     """Vertex order minimizing the upper-triangle adjacency bitstring.
 
@@ -253,48 +266,43 @@ def _canonical_permutation(g: SmallGraph) -> list[int]:
     for v in range(n):
         by_color.setdefault(colors[v], []).append(v)
     slot_cells = [cell for c in sorted(by_color) for cell in [by_color[c]] * len(by_color[c])]
-    smaller_twins = [0] * n
-    for v, u in combinations(range(n), 2):
-        if rows[u] & ~(1 << v) == rows[v] & ~(1 << u):
-            smaller_twins[u] |= 1 << v
-    INF = 1 << (n + 1)
-    best = [INF] * n
-    best_perm: list[int] | None = None
-    placed: list[int] = []
-    placed_mask = 0
+    found: list[list[int]] = []
+    _place_least(rows, slot_cells, _smaller_twins(rows, n), [1 << (n + 1)] * n, [], 0, found)
+    return found[0]
 
-    def assign(t: int) -> None:
-        nonlocal best_perm, placed_mask
-        if t == n:
-            if best_perm is None:
-                best_perm = placed.copy()
-            return
-        cols = {}
-        for v in slot_cells[t]:
-            if placed_mask >> v & 1 or smaller_twins[v] & ~placed_mask:
-                continue
-            row, col = rows[v], 0
-            for i, u in enumerate(placed):
-                if (row >> u) & 1:
-                    col |= 1 << i
-            cols[v] = col
-        low = min(cols.values())
-        if low > best[t]:
-            return
-        if low < best[t]:
-            best[t:] = [low] + [INF] * (n - t - 1)
-            best_perm = None
-        for v, col in cols.items():
-            if col == low:
-                placed.append(v)
-                placed_mask |= 1 << v
-                assign(t + 1)
-                placed_mask ^= 1 << v
-                placed.pop()
 
-    assign(0)
-    assert best_perm is not None
-    return best_perm
+def _place_least(rows, slot_cells, smaller_twins, best, placed, placed_mask, found) -> None:
+    """One branch-and-bound step of _canonical_permutation: fill the slot
+    after `placed` from its cell.  best[t] is the smallest column seen at
+    slot t, and `found` holds the first complete order that reaches all of
+    best.  A module-level function, since a self-calling closure would leave
+    one reference cycle per labeling."""
+    t = len(placed)
+    n = len(slot_cells)
+    if t == n:
+        if not found:
+            found.append(placed.copy())
+        return
+    cols = {}
+    for v in slot_cells[t]:
+        if placed_mask >> v & 1 or smaller_twins[v] & ~placed_mask:
+            continue
+        row, col = rows[v], 0
+        for i, u in enumerate(placed):
+            if (row >> u) & 1:
+                col |= 1 << i
+        cols[v] = col
+    low = min(cols.values())
+    if low > best[t]:
+        return
+    if low < best[t]:
+        best[t:] = [low] + [1 << (n + 1)] * (n - t - 1)
+        found.clear()
+    for v, col in cols.items():
+        if col == low:
+            placed.append(v)
+            _place_least(rows, slot_cells, smaller_twins, best, placed, placed_mask | 1 << v, found)
+            placed.pop()
 
 
 def canonical_relabel(g: SmallGraph) -> SmallGraph:

@@ -21,10 +21,14 @@ k vertices, and its graphs are the prefixes.  Every later edge touches a
 vertex >= k, so a permutation of {0..k-1} maps the completions of one prefix
 one-to-one onto the completions of its image, keeping e_p, C5-freeness, the
 isomorphism class and every property the sweeps test.  Both walk one prefix
-per S_k orbit (80 orbits for the 13,922 prefixes at k = 6) and weight its
-counts by the orbit size, so `visited`, `graphs` and `pairs_checked` stay
-exact labeled counts.  Violations name labeled graphs, so a sweep walks an
-orbit again prefix by prefix only when its representative shows one.  With
+per S_k orbit and weight its counts by the orbit size, so `visited`,
+`graphs` and `pairs_checked` stay exact labeled counts.  _prefix_orbits
+grows the orbits one vertex at a time and keeps one graph per canonical form
+(McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998): at
+k = 6 it keys 412 children into the 80 orbits of the 13,922 prefixes,
+without listing the prefixes.  Violations name labeled graphs, so a sweep
+walks the prefixes of an orbit again, in _prefixes order and picked by
+canonical form, only when its representative shows one.  With
 several workers the search's representatives are the units of work and
 results are merged in representative order, so worker count never changes
 the outcome.  DEGPOW_THREADS caps the worker count from the environment.
@@ -32,11 +36,10 @@ the outcome.  DEGPOW_THREADS caps the worker count from the environment.
 
 from __future__ import annotations
 
-import itertools
+import math
 import operator
 import os
 import time
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
@@ -47,6 +50,7 @@ from .graphs import (
     CapacityError,
     SmallGraph,
     _has_c5_through_edge,
+    _smaller_twins,
     canonical_relabel,
     contains_cycle,
     contains_path_order,
@@ -57,8 +61,8 @@ from .graphs import (
 
 MAX_SEARCH_ORDER = 9
 # the search and the sweeps split on the first min(PREFIX_ORDER, n - 2)
-# vertices; grouping the 13,922 C5-free prefixes on 6 vertices takes the 720
-# permutations of S_6 and leaves 80 subtrees to walk
+# vertices; the 13,922 C5-free prefixes on 6 vertices fall into 80
+# isomorphism classes, grown level by level, which leaves 80 subtrees to walk
 PREFIX_ORDER = 6
 
 # one predicate, two readings: on an existing edge it finds a 5-cycle through
@@ -281,35 +285,9 @@ def _prefix_order(n: int) -> int:
     return min(PREFIX_ORDER, max(n - 2, 0))
 
 
-def _prefix_representatives(k: int) -> dict[int, int]:
-    """Map each C5-free prefix on vertices 0..k-1, in _prefixes order, to the
-    representative of its S_k orbit: the orbit's first prefix in that order."""
-    edges = _edge_order(k)
-    index = {e: t for t, e in enumerate(edges)}
-    images = [
-        [1 << index[min(pi[u], pi[v]), max(pi[u], pi[v])] for u, v in edges]
-        for pi in itertools.permutations(range(k))
-    ]
-    prefixes = _prefixes(k)
-    rep: dict[int, int] = {}
-    for mask in prefixes:
-        if mask not in rep:
-            bits = [t for t in range(len(edges)) if (mask >> t) & 1]
-            rep.update(dict.fromkeys({sum(map(image.__getitem__, bits)) for image in images}, mask))
-    return {mask: rep[mask] for mask in prefixes}
-
-
-def _prefix_orbits(k: int) -> list[tuple[int, int]]:
-    """(representative, orbit size) for each S_k orbit of the C5-free prefixes
-    on vertices 0..k-1, representatives in _prefixes order."""
-    return list(Counter(_prefix_representatives(k).values()).items())
-
-
-def _walk_prefix(n: int, mask: int, leaf, stop: Optional[int] = None) -> None:
-    """Call leaf(rows, deg) at every C5-free graph on the first `stop`
-    vertices (default n) that extends the prefix `mask` (edges among the
-    first _prefix_order(n) vertices); rows and deg have length n."""
-    k = _prefix_order(n)
+def _prefix_rows(k: int, mask: int, n: int) -> tuple[list[int], list[int]]:
+    """Adjacency rows and degrees, padded to length n, of the prefix `mask`
+    on vertices 0..k-1."""
     rows = [0] * n
     deg = [0] * n
     for j, off in enumerate(_edge_offsets(k)):
@@ -319,6 +297,66 @@ def _walk_prefix(n: int, mask: int, leaf, stop: Optional[int] = None) -> None:
         for i in _bit_lists(j)[s]:
             rows[i] |= 1 << j
             deg[i] += 1
+    return rows, deg
+
+
+def _prefix_key(k: int, mask: int) -> tuple[int, ...]:
+    """The isomorphism class of the prefix `mask` on vertices 0..k-1, as the
+    rows of its canonical relabeling."""
+    return canonical_relabel(SmallGraph(k, tuple(_prefix_rows(k, mask, k)[0]))).rows
+
+
+def _prefix_orbits(k: int, stats: Optional[SearchStats] = None) -> list[tuple[int, int]]:
+    """(representative, orbit size) for each S_k orbit of the C5-free prefixes
+    on vertices 0..k-1, representatives in _prefixes order: each is its
+    orbit's first prefix in that order.
+
+    The orbits are grown one vertex at a time.  Level j extends each
+    representative D on j-1 vertices, in order, by the picks S of vertex
+    j-1 and keys each child by its canonical form; the first child with a
+    new key represents its class.  A permutation of D's vertices that fixes
+    j-1 maps D's picks onto those of any relabeling of D, class by class,
+    so the class of C holds sum over D of |orbit of D| * (picks of D that
+    land in C) labeled prefixes.  The orbit's first prefix H is such a
+    first child: moving H[0..j-2] onto its representative while fixing j-1
+    gives a member of H's orbit, which cannot come before H, and the walk
+    orders the first j-1 vertices first, so H[0..j-2] is the representative.
+
+    Permuting a twin class T of D is an automorphism, so only the picks
+    that meet each T in its smallest members are keyed, each standing for
+    the C(|T|, |S & T|) picks it is mapped to.  Include-first order puts
+    that pick first among them, so no first child is skipped.
+    """
+    orbits = [(0, 1)]
+    for j in range(1, k + 1):
+        last = j - 1
+        offset = _edge_offsets(j)[last]
+        classes: dict[tuple[int, ...], list[int]] = {}
+        for mask, size in orbits:
+            rows, _ = _prefix_rows(last, mask, j)
+            smaller = _smaller_twins(rows, last)
+            # keyed by the smallest member; the largest member's entry, the
+            # whole class, comes last and wins
+            twin_classes = {b & -b: b | 1 << v for v, b in enumerate(smaller) if b}.values()
+            for s in _picks(rows, last):
+                if any(smaller[i] & ~s for i in _bit_lists(last)[s]):
+                    continue
+                if stats is not None:
+                    stats.prefix_children += 1
+                weight = math.prod(math.comb(t.bit_count(), (s & t).bit_count())
+                                   for t in twin_classes)
+                child = mask | s << offset
+                classes.setdefault(_prefix_key(j, child), [child, 0])[1] += size * weight
+        orbits = [(child, size) for child, size in classes.values()]
+    return orbits
+
+
+def _walk_prefix(n: int, mask: int, leaf, stop: Optional[int] = None) -> None:
+    """Call leaf(rows, deg) at every C5-free graph on the first `stop`
+    vertices (default n) that extends the prefix `mask` (edges among the
+    first _prefix_order(n) vertices); rows and deg have length n."""
+    k = _prefix_order(n)
+    rows, deg = _prefix_rows(k, mask, n)
     _walk(n if stop is None else stop, k, rows, deg, leaf)
 
 
@@ -328,7 +366,7 @@ def _walk_orbits(n: int, subtree, *, pool=None, stats: Optional[SearchStats] = N
     one prefix and returns a tuple that starts with its leaf count.  With a
     pool the representatives are the units of work."""
     start = time.perf_counter()
-    orbits = _prefix_orbits(_prefix_order(n))
+    orbits = _prefix_orbits(_prefix_order(n), stats)
     grouped = time.perf_counter()
     masks = [mask for mask, _ in orbits]
     if pool is None:
@@ -410,6 +448,7 @@ class SearchStats:
 
     labeled_prefixes: int = 0
     orbit_representatives: int = 0
+    prefix_children: int = 0  # children keyed by canonical form while growing the orbits
     leaves_walked: int = 0
     largest_subtree_leaves: int = 0  # below one representative; max over calls
     labeled_graphs: int = 0
@@ -850,17 +889,19 @@ def _sweep(n: int, check, force: bool) -> SweepResult:
     """Run check(rows, deg, n, violations), which returns the number of
     (graph, hub) pairs it tested, on one representative per prefix orbit.
 
-    A dirty orbit is walked again prefix by prefix in _prefixes order, so
-    violations come out as the full labeled walk would list them.
+    A dirty orbit is walked again prefix by prefix in _prefixes order, its
+    members found by canonical form, so violations come out as the full
+    labeled walk would list them.
     """
     _check_search_order(n, force)
     subtree = partial(_sweep_subtree, n, check)
     parts = _walk_orbits(n, subtree)
-    dirty = {rep for rep, _, (_, _, found) in parts if found}
+    k = _prefix_order(n)
+    dirty = {_prefix_key(k, rep) for rep, _, (_, _, found) in parts if found}
     violations: list[str] = []
     if dirty:
-        for mask, rep in _prefix_representatives(_prefix_order(n)).items():
-            if rep in dirty:
+        for mask in _prefixes(k):
+            if _prefix_key(k, mask) in dirty:
                 violations += subtree(mask)[2]
     return SweepResult(
         n=n,

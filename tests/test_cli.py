@@ -142,8 +142,9 @@ def test_search_worker_count_invisible_in_output(capsys):
 
 
 STATS_KEYS = [
-    "labeled_prefixes", "orbit_representatives", "leaves_walked", "largest_subtree_leaves",
-    "labeled_graphs", "ties_relabeled", "classes", "orbit_grouping_s", "walk_s", "merge_dedup_s",
+    "labeled_prefixes", "orbit_representatives", "prefix_children", "leaves_walked",
+    "largest_subtree_leaves", "labeled_graphs", "ties_relabeled", "classes", "orbit_grouping_s",
+    "walk_s", "merge_dedup_s",
 ]
 
 
@@ -167,6 +168,7 @@ def test_stats_go_to_stderr_and_leave_the_payload_alone(capsys, argv):
     rows = [payload] if argv[0] == "search" else payload["report"][::2]
     assert stats["labeled_graphs"] == sum(row["visited"] for row in rows)
     assert stats["orbit_representatives"] <= stats["labeled_prefixes"]
+    assert stats["orbit_representatives"] <= stats["prefix_children"]
     assert 0 < stats["largest_subtree_leaves"] < stats["leaves_walked"]
 
 

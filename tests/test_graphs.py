@@ -2,6 +2,7 @@
 biclique recognition, graph6 codec.  Randomized checks are seeded and every
 detector is cross-checked against a structure-free oracle or networkx."""
 
+import gc
 import random
 import time
 from itertools import combinations, permutations
@@ -319,6 +320,20 @@ def test_twin_pruning_keeps_the_canonical_relabeling():
                complete_bipartite(3, 4), complete_bipartite(2, 5), book(7)]
     for g in graphs:
         assert canonical_relabel(g) == reference_relabel(g), to_graph6(g)
+
+
+def test_canonical_relabel_leaves_no_reference_cycles():
+    # a self-calling closure in the labeler would leave one cycle per call
+    rng = random.Random(99)
+    graphs = [random_graph(rng, rng.randint(0, 9), rng.uniform(0.2, 0.8)) for _ in range(1000)]
+    gc.collect()
+    gc.disable()
+    try:
+        for g in graphs:
+            canonical_relabel(g)
+        assert gc.collect() < 100
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("g", [

@@ -15,6 +15,7 @@ from degpow.constructions import GPrime, GStar, bipartite_completion, build
 from degpow.graphs import (
     CapacityError,
     SmallGraph,
+    canonical_form,
     canonical_relabel,
     contains_cycle,
     degree_sequence,
@@ -265,11 +266,29 @@ def test_prefix_orbits_are_the_isomorphism_classes():
         assert sum(size for _, size in orbits) == len(prefixes) == labeled
 
 
+def test_prefix_orbits_match_canonical_forms_of_the_labeled_prefixes():
+    # an oracle that shares no code with the level-by-level growth: every
+    # labeled prefix keyed by its certificate, classes in order of first
+    # appearance in the walk.  The children keyed are the twin-pruned picks,
+    # summed over the levels 1..k
+    children = [0, 1, 3, 9, 29, 111, 412]
+    for k in range(0, 7):
+        edges = [(i, j) for j in range(k) for i in range(j)]
+        classes = {}
+        for mask in _prefixes(k):
+            g = from_edges(k, [e for t, e in enumerate(edges) if mask >> t & 1])
+            classes.setdefault(canonical_form(g), [mask, 0])[1] += 1
+        stats = SearchStats()
+        assert _prefix_orbits(k, stats) == [(mask, size) for mask, size in classes.values()], k
+        assert stats.prefix_children == children[k], k
+
+
 def test_search_stats_count_the_orbit_walk():
     stats = SearchStats()
     search_extremal(7, [2], stats=stats)
     assert stats.labeled_prefixes == 806
     assert stats.orbit_representatives == 26
+    assert stats.prefix_children == 111
     assert stats.labeled_graphs == 316453
     assert 26 <= stats.leaves_walked < 316453
     assert stats.leaves_walked < 26 * stats.largest_subtree_leaves < 26 * stats.leaves_walked
@@ -279,6 +298,7 @@ def test_search_stats_count_the_orbit_walk():
     largest = stats.largest_subtree_leaves
     search_extremal(4, [2], stats=stats)
     assert stats.labeled_graphs == 316453 + 64
+    assert stats.prefix_children == 111 + 3
     assert stats.largest_subtree_leaves == largest
 
 
@@ -647,5 +667,30 @@ def test_observation_violations_list_every_labeled_graph(monkeypatch):
     swept = sweep_observations(6)
     expected = _labeled_reference(6, violations_of)
     assert len(expected) == clean.pairs_checked
+    assert swept.violations == tuple(expected)
+    assert (swept.graphs, swept.pairs_checked) == (clean.graphs, clean.pairs_checked)
+
+
+def test_violations_keep_the_labeled_order_past_four_prefix_vertices(monkeypatch):
+    # at n = 7 the prefixes have k = 5 vertices; only graphs with a
+    # dominating hub fail, so some prefix classes are dirty and some clean
+    n = 7
+
+    def stub(rows, order, u):
+        return (["stub"] if rows[u].bit_count() == order - 1 else []), [], 0, 0
+
+    expected = []
+
+    def visit(rows):
+        # a dominating hub has maximum degree; it needs one edge among the rest
+        for u, row in enumerate(rows):
+            if row.bit_count() == n - 1 and any(rows[v] & row for v in range(n) if v != u):
+                expected.append(f"{to_graph6(SmallGraph(n, tuple(rows)))} u={u}: stub")
+
+    enumerate_c5_free(n, visit)
+    clean = sweep_observations(n)
+    monkeypatch.setattr(search, "_validate_observation_rows", stub)
+    swept = sweep_observations(n)
+    assert 100 < len(expected) < clean.pairs_checked
     assert swept.violations == tuple(expected)
     assert (swept.graphs, swept.pairs_checked) == (clean.graphs, clean.pairs_checked)
