@@ -29,7 +29,7 @@ def main() -> int:
     print()
     for n in range(4, n_max + 1):
         start = time.perf_counter()
-        results = search_extremal(n, ps, workers=2 if n >= 8 else 1)
+        results = search_extremal(n, ps)
         elapsed = time.perf_counter() - start
         visited = results[ps[0]].visited
         print(f"n={n}: {visited} labeled C5-free graphs ({elapsed:.1f} s)")

@@ -3,7 +3,8 @@
 Every command writes machine-readable output (JSON, CSV, or graph6) and is
 byte-reproducible for identical flags; wall-clock timings live in the
 designated elapsed_ms field and nowhere else.  Exit codes: 0 success or pass,
-1 verification failure, 2 usage or validation error, 3 capacity exceeded.
+1 verification failure, 2 usage or validation error or an --out path that
+cannot be written, 3 capacity exceeded.
 """
 
 from __future__ import annotations
@@ -32,7 +33,10 @@ def _canonical_spec(spec) -> str:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -64,7 +68,18 @@ def _p_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def _worker_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"worker count must be >= 1, got {count}")
+    return count
+
+
 _STATS_HELP = "print search counters and phase times as one JSON line on stderr"
+_WORKERS_HELP = "accepted for older command lines; the search runs in one process"
 
 
 def _emit_stats(stats: Optional[SearchStats]) -> None:
@@ -92,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="exact ex_p over C5-free graphs at order n")
     p_search.add_argument("--n", type=int, required=True)
     p_search.add_argument("--p", type=int, required=True)
-    p_search.add_argument("--workers", type=int, default=1)
+    p_search.add_argument("--workers", type=_worker_count, default=1, help=_WORKERS_HELP)
     p_search.add_argument("--force", action="store_true")
     p_search.add_argument("--stats", action="store_true", help=_STATS_HELP)
     p_search.add_argument("--out", default=None)
@@ -118,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n-min", type=int, default=4)
     p_sweep.add_argument("--n-max", type=int, default=8)
     p_sweep.add_argument("--p", type=int, nargs="+", default=[1, 2, 3])
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=_worker_count, default=1, help=_WORKERS_HELP)
     p_sweep.add_argument("--force", action="store_true")
     p_sweep.add_argument("--stats", action="store_true", help=_STATS_HELP)
     p_sweep.add_argument("--out", default=None)
@@ -161,9 +176,7 @@ def _cmd_epow(args) -> int:
 def _cmd_search(args) -> int:
     stats = SearchStats() if args.stats else None
     start = time.perf_counter()
-    result = search_extremal(
-        args.n, [args.p], workers=args.workers, force=args.force, stats=stats
-    )[args.p]
+    result = search_extremal(args.n, [args.p], force=args.force, stats=stats)[args.p]
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     payload = {
         "n": result.n,
@@ -226,7 +239,6 @@ def _cmd_sweep(args) -> int:
     report = classification_report(
         range(args.n_min, args.n_max + 1),
         args.p,
-        workers=args.workers,
         force=args.force,
         stats=stats,
     )

@@ -16,8 +16,8 @@ which is why the leaf work is all bitmask arithmetic on raw adjacency rows;
 the SmallGraph API appears only at the edges of the module.
 
 The extremal search and the validator sweeps split the walk at the first
-k = min(PREFIX_ORDER, n - 2) vertices: _prefixes is the same walk stopped at
-k vertices, and its graphs are the prefixes.  Every later edge touches a
+k = n - 2 vertices (k = 0 below n = 3): _prefixes is the same walk stopped
+at k vertices, and its graphs are the prefixes.  Every later edge touches a
 vertex >= k, so a permutation of {0..k-1} maps the completions of one prefix
 one-to-one onto the completions of its image, keeping e_p, C5-freeness, the
 isomorphism class and every property the sweeps test.  Both walk one prefix
@@ -25,25 +25,22 @@ per S_k orbit and weight its counts by the orbit size, so `visited`,
 `graphs` and `pairs_checked` stay exact labeled counts.  _prefix_orbits
 grows the orbits one vertex at a time and keeps one graph per canonical form
 (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998): at
-k = 6 it keys 412 children into the 80 orbits of the 13,922 prefixes,
-without listing the prefixes.  Violations name labeled graphs, so a sweep
-walks the prefixes of an orbit again, in _prefixes order and picked by
-canonical form, only when its representative shows one.  With
-several workers the search's representatives are the units of work and
-results are merged in representative order, so worker count never changes
-the outcome.  DEGPOW_THREADS caps the worker count from the environment.
+n = 9 it keys 1,728 children into the 251 orbits of the 316,453 prefixes on
+7 vertices, without listing the prefixes, and each representative leaves
+only the last two vertices to walk.  Violations name labeled graphs, so a
+sweep walks the prefixes of an orbit again, in _prefixes order and picked
+by canonical form, only when its representative shows one.  Everything runs
+in one process.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from multiprocessing import Pool
 from typing import Callable, Iterable, Optional, Sequence
 
 from .graphs import (
@@ -60,10 +57,6 @@ from .graphs import (
 )
 
 MAX_SEARCH_ORDER = 9
-# the search and the sweeps split on the first min(PREFIX_ORDER, n - 2)
-# vertices; the 13,922 C5-free prefixes on 6 vertices fall into 80
-# isomorphism classes, grown level by level, which leaves 80 subtrees to walk
-PREFIX_ORDER = 6
 
 # one predicate, two readings: on an existing edge it finds a 5-cycle through
 # it; on a missing edge it answers whether adding the edge would close one
@@ -155,23 +148,6 @@ class SearchResult:
     value: int
     visited: int
     maximizers: tuple[MaximizerRecord, ...]
-    workers: int
-
-
-def resolve_workers(requested: int) -> int:
-    """Clamp a worker request against the DEGPOW_THREADS environment cap."""
-    if requested < 1:
-        raise ValueError(f"worker count must be >= 1, got {requested}")
-    cap_text = os.environ.get("DEGPOW_THREADS")
-    if cap_text is None or cap_text == "":
-        return requested
-    try:
-        cap = int(cap_text)
-    except ValueError:
-        raise ValueError(f"DEGPOW_THREADS must be an integer, got {cap_text!r}") from None
-    if cap < 1:
-        raise ValueError(f"DEGPOW_THREADS must be >= 1, got {cap}")
-    return min(requested, cap)
 
 
 def _conflicts(rows, j: int) -> list[int]:
@@ -282,7 +258,7 @@ def _prefixes(k: int) -> list[int]:
 
 
 def _prefix_order(n: int) -> int:
-    return min(PREFIX_ORDER, max(n - 2, 0))
+    return max(n - 2, 0)
 
 
 def _prefix_rows(k: int, mask: int, n: int) -> tuple[list[int], list[int]]:
@@ -360,24 +336,14 @@ def _walk_prefix(n: int, mask: int, leaf, stop: Optional[int] = None) -> None:
     _walk(n if stop is None else stop, k, rows, deg, leaf)
 
 
-def _walk_orbits(n: int, subtree, *, pool=None, stats: Optional[SearchStats] = None) -> list:
+def _walk_orbits(n: int, subtree, stats: Optional[SearchStats] = None) -> list:
     """(representative, orbit size, subtree(representative)) for each S_k
     orbit of prefixes, in _prefix_orbits order.  subtree(mask) walks below
-    one prefix and returns a tuple that starts with its leaf count.  With a
-    pool the representatives are the units of work."""
+    one prefix and returns a tuple that starts with its leaf count."""
     start = time.perf_counter()
     orbits = _prefix_orbits(_prefix_order(n), stats)
     grouped = time.perf_counter()
-    masks = [mask for mask, _ in orbits]
-    if pool is None:
-        parts = list(map(subtree, masks))
-    else:
-        # the sparsest prefixes own the largest subtrees and come last in DFS
-        # order; handing them out first keeps the workers evenly loaded
-        order = sorted(range(len(masks)), key=lambda i: masks[i].bit_count())
-        parts = [None] * len(masks)
-        for i, part in zip(order, pool.imap(subtree, [masks[i] for i in order])):
-            parts[i] = part
+    parts = [subtree(mask) for mask, _ in orbits]
     if stats is not None:
         stats.walk_s += time.perf_counter() - grouped
         stats.orbit_grouping_s += grouped - start
@@ -385,7 +351,6 @@ def _walk_orbits(n: int, subtree, *, pool=None, stats: Optional[SearchStats] = N
         stats.labeled_prefixes += sum(size for _, size in orbits)
         stats.orbit_representatives += len(orbits)
         stats.leaves_walked += sum(leaves)
-        stats.largest_subtree_leaves = max(stats.largest_subtree_leaves, *leaves)
         stats.labeled_graphs += sum(size * count for (_, size), count in zip(orbits, leaves))
     return [(mask, size, part) for (mask, size), part in zip(orbits, parts)]
 
@@ -450,7 +415,6 @@ class SearchStats:
     orbit_representatives: int = 0
     prefix_children: int = 0  # children keyed by canonical form while growing the orbits
     leaves_walked: int = 0
-    largest_subtree_leaves: int = 0  # below one representative; max over calls
     labeled_graphs: int = 0
     ties_relabeled: int = 0
     classes: int = 0
@@ -463,21 +427,18 @@ def search_extremal(
     n: int,
     ps: Sequence[int],
     *,
-    workers: int = 1,
     force: bool = False,
     stats: Optional[SearchStats] = None,
-    _pool=None,
 ) -> dict[int, SearchResult]:
     """Exact max of e_p over labeled C5-free graphs, for every p in ps at once.
 
     Returns per-p SearchResults carrying the value, the labeled visit count,
     and the deduplicated isomorphism classes of maximizers (canonical
-    relabelings, sorted by certificate, so output order is independent of
-    worker count).  Only one prefix per S_k orbit is walked (see the module
-    docstring); visited is the orbit-size-weighted sum of its leaves.
+    relabelings, sorted by certificate).  Only one prefix per S_k orbit is
+    walked (see the module docstring); visited is the orbit-size-weighted
+    sum of its leaves.
 
-    stats, when given, accumulates counters and phase times.  _pool lets
-    classification_report share one worker pool across orders.
+    stats, when given, accumulates counters and phase times.
     """
     _check_search_order(n, force)
     ps = list(dict.fromkeys(ps))
@@ -486,25 +447,9 @@ def search_extremal(
     for p in ps:
         if p < 1:
             raise ValueError(f"exponent p must be >= 1, got {p}")
-    workers = resolve_workers(workers)
 
-    fan_out = workers > 1 and _prefix_order(n) >= 2  # k >= 2 leaves at least two orbits
-    own_pool = None
-    if fan_out and _pool is None:
-        # the workers start while the orbits are grouped.  The platform's
-        # default start method is kept: on Linux it forks before the pool
-        # starts its handler threads, while a spawned worker would spend
-        # longer importing the package than the whole n = 8 walk takes
-        own_pool = Pool(processes=workers)
-    try:
-        parts = _walk_orbits(
-            n, partial(_subtree_search, n, ps),
-            pool=(_pool or own_pool) if fan_out else None, stats=stats,
-        )
-        walked = time.perf_counter()
-    finally:
-        if own_pool is not None:
-            own_pool.terminate()
+    parts = _walk_orbits(n, partial(_subtree_search, n, ps), stats)
+    walked = time.perf_counter()
 
     visited = 0
     best = {p: -1 for p in ps}
@@ -541,7 +486,6 @@ def search_extremal(
             value=best[p],
             visited=visited,
             maximizers=tuple(records[cert] for cert in sorted(records)),
-            workers=workers,
         )
     if stats is not None:
         stats.ties_relabeled += relabeled
@@ -550,9 +494,9 @@ def search_extremal(
     return results
 
 
-def ex_p(n: int, p: int, *, workers: int = 1, force: bool = False) -> SearchResult:
+def ex_p(n: int, p: int, *, force: bool = False) -> SearchResult:
     """ex_p(n, C5): the maximum degree power sum over C5-free graphs on n."""
-    return search_extremal(n, [p], workers=workers, force=force)[p]
+    return search_extremal(n, [p], force=force)[p]
 
 
 def max_degree_ratio(result: SearchResult) -> list[Fraction]:
@@ -600,28 +544,16 @@ def classification_report(
     n_values: Iterable[int],
     p_values: Iterable[int],
     *,
-    workers: int = 1,
     force: bool = False,
     stats: Optional[SearchStats] = None,
 ) -> list[dict]:
-    """Maximizer classification table over a grid of (n, p).
-
-    With several workers one pool serves every order of the grid.
-    """
+    """Maximizer classification table over a grid of (n, p)."""
     report = []
     p_list = list(p_values)
-    workers = resolve_workers(workers)
-    pool = Pool(processes=workers) if workers > 1 else None
-    try:
-        for n in n_values:
-            per_p = search_extremal(
-                n, p_list, workers=workers, force=force, stats=stats, _pool=pool
-            )
-            for p in p_list:
-                report.append(classify_maximizers(per_p[p]))
-    finally:
-        if pool is not None:
-            pool.terminate()
+    for n in n_values:
+        per_p = search_extremal(n, p_list, force=force, stats=stats)
+        for p in p_list:
+            report.append(classify_maximizers(per_p[p]))
     return report
 
 

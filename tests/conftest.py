@@ -1,5 +1,4 @@
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -19,5 +18,4 @@ def small_oracle():
 @pytest.fixture(scope="session")
 def n8_search():
     """One shared n=8 search over p in {1,2,3}; several tests read it."""
-    workers = min(4, os.cpu_count() or 1)
-    return search_extremal(8, [1, 2, 3], workers=workers)
+    return search_extremal(8, [1, 2, 3])

@@ -221,16 +221,18 @@ def test_criterion_10_structural_validators_sweep():
         for g in collect_c5_free(n):
             for u in range(n):
                 assert neighborhood_decomposition(g, u).valid
-    # orders 6..8: enumerator-level sweeps (degree >= 4 hubs are the only
-    # candidates that can fail validity; see sweep_neighborhood_validity)
-    for n in range(6, 9):
-        result = sweep_neighborhood_validity(n)
-        assert result.violations == (), n
-        result = sweep_bipartite_completion(n)
-        assert result.violations == (), n
-    for n in range(1, 9):
-        result = sweep_observations(n)
-        assert result.violations == (), n
+    # enumerator-level sweeps: observations from order 1, validity and
+    # completion from order 6 (degree >= 4 hubs are the only candidates
+    # that can fail validity; see sweep_neighborhood_validity)
+    for n in range(1, 10):
+        results = [sweep_observations(n)]
+        if n >= 6:
+            results += [sweep_neighborhood_validity(n), sweep_bipartite_completion(n)]
+        assert all(r.violations == () for r in results), n
+    # graph and pair counts of the full labeled walk at n = 9: observations,
+    # validity, completion
+    assert {r.graphs for r in results} == {362314673}
+    assert [r.pairs_checked for r in results] == [355190607, 454792626, 264430377]
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"budget 60 s, took {elapsed:.2f} s"
     _stamp(10)

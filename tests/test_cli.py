@@ -141,10 +141,27 @@ def test_search_worker_count_invisible_in_output(capsys):
     assert ELAPSED.sub('"elapsed_ms": 0', serial) == ELAPSED.sub('"elapsed_ms": 0', parallel)
 
 
+@pytest.mark.parametrize("command", [("search", "--n", "4", "--p", "2"), ("sweep",)])
+def test_worker_count_below_one_is_a_usage_error(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--workers", "0")
+    assert code == 2
+    assert out == ""
+    assert "worker count must be >= 1" in err
+
+
+@pytest.mark.parametrize("command", [("search", "--n", "4", "--p", "2"), ("verify", "turan-closed-form")])
+def test_unwritable_out_path_is_a_usage_error(capsys, tmp_path, command):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, *command, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"degpow: error: cannot write {target}: No such file or directory\n"
+    assert not target.exists()
+
+
 STATS_KEYS = [
     "labeled_prefixes", "orbit_representatives", "prefix_children", "leaves_walked",
-    "largest_subtree_leaves", "labeled_graphs", "ties_relabeled", "classes", "orbit_grouping_s",
-    "walk_s", "merge_dedup_s",
+    "labeled_graphs", "ties_relabeled", "classes", "orbit_grouping_s", "walk_s", "merge_dedup_s",
 ]
 
 
@@ -169,7 +186,7 @@ def test_stats_go_to_stderr_and_leave_the_payload_alone(capsys, argv):
     assert stats["labeled_graphs"] == sum(row["visited"] for row in rows)
     assert stats["orbit_representatives"] <= stats["labeled_prefixes"]
     assert stats["orbit_representatives"] <= stats["prefix_children"]
-    assert 0 < stats["largest_subtree_leaves"] < stats["leaves_walked"]
+    assert 0 < stats["leaves_walked"] < stats["labeled_graphs"]
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,6 @@ classification, and the neighborhood validators driven by the same walker."""
 import gc
 import itertools
 import random
-from collections import Counter
-from dataclasses import replace
 
 import networkx as nx
 import pytest
@@ -28,14 +26,12 @@ from degpow.search import (
     SearchStats,
     _prefix_orbits,
     _prefixes,
-    classification_report,
     classify_maximizers,
     collect_c5_free,
     enumerate_c5_free,
     ex_p,
     max_degree_ratio,
     neighborhood_decomposition,
-    resolve_workers,
     search_extremal,
     sweep_bipartite_completion,
     sweep_neighborhood_validity,
@@ -291,43 +287,32 @@ def test_search_stats_count_the_orbit_walk():
     assert stats.prefix_children == 111
     assert stats.labeled_graphs == 316453
     assert 26 <= stats.leaves_walked < 316453
-    assert stats.leaves_walked < 26 * stats.largest_subtree_leaves < 26 * stats.leaves_walked
     assert stats.classes == 1 and stats.ties_relabeled >= 1
     assert min(stats.orbit_grouping_s, stats.walk_s, stats.merge_dedup_s) >= 0
-    # a second call accumulates; the largest subtree is a maximum, not a sum
-    largest = stats.largest_subtree_leaves
+    # a second call accumulates
     search_extremal(4, [2], stats=stats)
     assert stats.labeled_graphs == 316453 + 64
     assert stats.prefix_children == 111 + 3
-    assert stats.largest_subtree_leaves == largest
 
 
-def test_largest_subtree_is_the_largest_prefix_class():
-    # each orbit member owns as many completions as its representative, so
-    # the largest subtree holds the most labeled graphs over one prefix
-    # pattern on the first k = 4 vertices
+def test_search_n9_splits_at_seven_prefix_vertices():
+    # K_{4,5} wins for p <= 2 and the book graph, an edge joined to 7
+    # independent vertices (degrees 8, 8 and seven 2s), from p = 3 on
     stats = SearchStats()
-    search_extremal(6, [2], stats=stats)
-    per_prefix = Counter(tuple(row & 0b1111 for row in g.rows[:4]) for g in collect_c5_free(6))
-    assert stats.largest_subtree_leaves == max(per_prefix.values())
-
-
-def test_classification_report_shared_pool_matches_serial():
-    serial = classification_report(range(3, 8), [1, 2, 5])
-    assert classification_report(range(3, 8), [1, 2, 5], workers=2) == serial
-
-
-# ---------------------------------------------------------------------------
-# parallel execution
-
-
-def test_worker_count_does_not_change_results():
-    for n in (6, 7, 8):
-        serial = search_extremal(n, range(1, 7))
-        parallel = search_extremal(n, range(1, 7), workers=2)
-        for p in range(1, 7):
-            assert parallel[p].workers == 2
-            assert replace(parallel[p], workers=1) == serial[p], (n, p)
+    found = search_extremal(9, range(1, 9), stats=stats)
+    values = [40, 180, 1080, 8304, 65760, 524736, 4195200, 33556224]
+    for p, value in zip(range(1, 9), values):
+        res = found[p]
+        assert (res.value, res.visited) == (value, 362314673), p
+        [rec] = res.maximizers
+        if p <= 2:
+            assert (rec.canonical, rec.biclique) == (b"H?B~vrw", (4, 5)), p
+        else:
+            assert (rec.canonical, rec.biclique) == (b"H???F~~", None), p
+            assert value == 2 * 8 ** p + 7 * 2 ** p
+    assert stats.labeled_prefixes == 316453  # the C5-free graphs on 7 vertices
+    assert stats.orbit_representatives == 251
+    assert stats.prefix_children == 1728
 
 
 def test_walks_leave_no_reference_cycles():
@@ -342,30 +327,6 @@ def test_walks_leave_no_reference_cycles():
         assert gc.collect() < 1000
     finally:
         gc.enable()
-
-
-def test_resolve_workers_env_cap(monkeypatch):
-    monkeypatch.delenv("DEGPOW_THREADS", raising=False)
-    assert resolve_workers(4) == 4
-    monkeypatch.setenv("DEGPOW_THREADS", "2")
-    assert resolve_workers(4) == 2
-    assert resolve_workers(1) == 1
-    monkeypatch.setenv("DEGPOW_THREADS", "abc")
-    with pytest.raises(ValueError):
-        resolve_workers(4)
-    monkeypatch.setenv("DEGPOW_THREADS", "0")
-    with pytest.raises(ValueError):
-        resolve_workers(4)
-    monkeypatch.delenv("DEGPOW_THREADS")
-    with pytest.raises(ValueError):
-        resolve_workers(0)
-
-
-def test_env_cap_applies_to_search(monkeypatch):
-    monkeypatch.setenv("DEGPOW_THREADS", "1")
-    res = search_extremal(6, [2], workers=8)
-    assert res[2].workers == 1
-    assert res[2].value == 66
 
 
 # ---------------------------------------------------------------------------
