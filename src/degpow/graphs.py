@@ -241,8 +241,11 @@ def _smaller_twins(rows, n: int) -> list[int]:
     return smaller
 
 
-def _canonical_permutation(g: SmallGraph) -> list[int]:
-    """Vertex order minimizing the upper-triangle adjacency bitstring.
+def _canonical_order(rows, n: int) -> tuple[list[int], tuple[int, ...]]:
+    """(order, columns): the vertex order minimizing the upper-triangle
+    adjacency bitstring, and that bitstring as columns, bit i of columns[t]
+    saying whether the vertices in slots i < t and t are adjacent.  The
+    columns alone are a complete isomorphism invariant.
 
     Candidates at each position are restricted to the refinement cell that
     owns it (cells in ascending color), which is sound because the cell
@@ -257,22 +260,21 @@ def _canonical_permutation(g: SmallGraph) -> list[int]:
     smaller twins.  Without this, K_{a,b}, the empty graph and the book
     graph K2 + empty(n-2) would walk every order of their large cells.
     """
-    n = g.order
     if n == 0:
-        return []
-    rows = g.rows
+        return [], ()
     colors = _refine_colors(rows, n)
     by_color: dict[int, list[int]] = {}
     for v in range(n):
         by_color.setdefault(colors[v], []).append(v)
     slot_cells = [cell for c in sorted(by_color) for cell in [by_color[c]] * len(by_color[c])]
     found: list[list[int]] = []
-    _place_least(rows, slot_cells, _smaller_twins(rows, n), [1 << (n + 1)] * n, [], 0, found)
-    return found[0]
+    best = [1 << (n + 1)] * n
+    _place_least(rows, slot_cells, _smaller_twins(rows, n), best, [], 0, found)
+    return found[0], tuple(best)
 
 
 def _place_least(rows, slot_cells, smaller_twins, best, placed, placed_mask, found) -> None:
-    """One branch-and-bound step of _canonical_permutation: fill the slot
+    """One branch-and-bound step of _canonical_order: fill the slot
     after `placed` from its cell.  best[t] is the smallest column seen at
     slot t, and `found` holds the first complete order that reaches all of
     best.  A module-level function, since a self-calling closure would leave
@@ -307,7 +309,7 @@ def _place_least(rows, slot_cells, smaller_twins, best, placed, placed_mask, fou
 
 def canonical_relabel(g: SmallGraph) -> SmallGraph:
     """Isomorphism-canonical relabeling: equal outputs iff isomorphic inputs."""
-    perm = _canonical_permutation(g)
+    perm, _ = _canonical_order(g.rows, g.order)
     pos = {v: i for i, v in enumerate(perm)}
     rows = [0] * g.order
     for v in range(g.order):

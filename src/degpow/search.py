@@ -27,7 +27,9 @@ grows the orbits one vertex at a time and keeps one graph per canonical form
 (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998): at
 n = 9 it keys 1,728 children into the 251 orbits of the 316,453 prefixes on
 7 vertices, without listing the prefixes, and each representative leaves
-only the last two vertices to walk.  Violations name labeled graphs, so a
+only the last two vertices to walk.  The search walks vertex n - 2 only
+through the neighbourhoods of _twin_picks, weighted by the picks each
+stands for.  Violations name labeled graphs, so a
 sweep walks the prefixes of an orbit again, in _prefixes order and picked
 by canonical form, only when its representative shows one.  Everything runs
 in one process.
@@ -46,6 +48,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .graphs import (
     CapacityError,
     SmallGraph,
+    _canonical_order,
     _has_c5_through_edge,
     _smaller_twins,
     canonical_relabel,
@@ -179,13 +182,55 @@ def _conflicts(rows, j: int) -> list[int]:
     return conflict
 
 
-def _picks(rows, j: int) -> list[int]:
+def _conflicts_after(rows, j: int, conflict: list[int]) -> list[int]:
+    """_conflicts(rows, j + 1), given conflict = _conflicts of G[0..j-1]
+    before vertex j joined its neighbourhood S = rows[j].
+
+    Only paths through j are new.  With j second, a-j-y-b: a and y are in
+    S and b is a neighbour of y, so for a in S, b is a neighbour of a second
+    member of S (in `twice`) or of some member but not of a.  With j third,
+    the same path read from b: a's neighbour x is in S and b is another
+    member of S, any member but a once a has two neighbours in S.  With j
+    at an end, the other end is two steps from a member y of S, other than y.
+    """
+    j_bit = 1 << j
+    below = j_bit - 1
+    s = rows[j]
+    bit_lists = _bit_lists(j)
+    once = twice = ends = 0
+    for y in bit_lists[s]:
+        near = rows[y] & below
+        twice |= once & near
+        once |= near
+        two_steps = 0
+        for z in bit_lists[near]:
+            two_steps |= rows[z]
+        ends |= two_steps & ~(1 << y)
+    ends &= below
+    grown = []
+    for a, found in enumerate(conflict):
+        a_bit = 1 << a
+        near = rows[a] & below
+        if s & a_bit:
+            found |= (twice | once & ~near) & ~a_bit
+        middles = near & s
+        if middles:
+            found |= s & ~a_bit & ~(0 if middles & (middles - 1) else middles)
+        if ends & a_bit:
+            found |= j_bit
+        grown.append(found)
+    grown.append(ends)
+    return grown
+
+
+def _picks(conflict: list[int]) -> list[int]:
     """The neighbourhoods S in {0..j-1} that vertex j can take in the C5-free
-    graph G[0..j-1]: no two members of S in conflict.  S is grown bit by bit,
-    i = 0..j-1, the include branch first, which is the edge-decision tree's
-    order of its leaves."""
+    graph G[0..j-1], given its conflict = _conflicts(rows, j): no two
+    members of S in conflict.  S is grown bit by bit, i = 0..j-1, the
+    include branch first, which is the edge-decision tree's order of its
+    leaves."""
     picks = [0]
-    for i, ends in enumerate(_conflicts(rows, j)):
+    for i, ends in enumerate(conflict):
         bit = 1 << i
         grown = []
         for s in picks:
@@ -209,7 +254,7 @@ def _walk(n: int, j: int, rows, deg, leaf) -> None:
     bit_lists = _bit_lists(j)
     j_bit = 1 << j
     last = j + 1 == n
-    for s in _picks(rows, j):
+    for s in _picks(_conflicts(rows, j)):
         members = bit_lists[s]
         for i in members:
             rows[i] |= j_bit
@@ -278,8 +323,29 @@ def _prefix_rows(k: int, mask: int, n: int) -> tuple[list[int], list[int]]:
 
 def _prefix_key(k: int, mask: int) -> tuple[int, ...]:
     """The isomorphism class of the prefix `mask` on vertices 0..k-1, as the
-    rows of its canonical relabeling."""
-    return canonical_relabel(SmallGraph(k, tuple(_prefix_rows(k, mask, k)[0]))).rows
+    adjacency columns of its canonical order."""
+    return _canonical_order(_prefix_rows(k, mask, k)[0], k)[1]
+
+
+def _twin_picks(rows, j: int, conflict: list[int]) -> list[tuple[int, int]]:
+    """(S, weight) for the picks S of vertex j (see _picks) that meet each
+    twin class T of G[0..j-1] in its smallest members, where weight, the
+    product of C(|T|, |S & T|), counts the picks that S stands for.
+
+    Permuting a twin class is an automorphism of G[0..j-1].  It maps the
+    picks onto each other, and every graph that extends G[0..j-1] + S onto
+    an isomorphic one that extends the image of S, with the same e_p.
+    """
+    smaller = _smaller_twins(rows, j)
+    # keyed by the smallest member; the largest member's entry, the whole
+    # class, comes last and wins
+    twin_classes = {b & -b: b | 1 << v for v, b in enumerate(smaller) if b}.values()
+    bit_lists = _bit_lists(j)
+    return [
+        (s, math.prod(math.comb(t.bit_count(), (s & t).bit_count()) for t in twin_classes))
+        for s in _picks(conflict)
+        if not any(smaller[i] & ~s for i in bit_lists[s])
+    ]
 
 
 def _prefix_orbits(k: int, stats: Optional[SearchStats] = None) -> list[tuple[int, int]]:
@@ -298,10 +364,9 @@ def _prefix_orbits(k: int, stats: Optional[SearchStats] = None) -> list[tuple[in
     gives a member of H's orbit, which cannot come before H, and the walk
     orders the first j-1 vertices first, so H[0..j-2] is the representative.
 
-    Permuting a twin class T of D is an automorphism, so only the picks
-    that meet each T in its smallest members are keyed, each standing for
-    the C(|T|, |S & T|) picks it is mapped to.  Include-first order puts
-    that pick first among them, so no first child is skipped.
+    Only the picks of _twin_picks are keyed, each standing for `weight`
+    picks; include-first order puts it first among them, so no first child
+    is skipped.
     """
     orbits = [(0, 1)]
     for j in range(1, k + 1):
@@ -310,36 +375,33 @@ def _prefix_orbits(k: int, stats: Optional[SearchStats] = None) -> list[tuple[in
         classes: dict[tuple[int, ...], list[int]] = {}
         for mask, size in orbits:
             rows, _ = _prefix_rows(last, mask, j)
-            smaller = _smaller_twins(rows, last)
-            # keyed by the smallest member; the largest member's entry, the
-            # whole class, comes last and wins
-            twin_classes = {b & -b: b | 1 << v for v, b in enumerate(smaller) if b}.values()
-            for s in _picks(rows, last):
-                if any(smaller[i] & ~s for i in _bit_lists(last)[s]):
-                    continue
+            for s, weight in _twin_picks(rows, last, _conflicts(rows, last)):
                 if stats is not None:
                     stats.prefix_children += 1
-                weight = math.prod(math.comb(t.bit_count(), (s & t).bit_count())
-                                   for t in twin_classes)
+                grown = rows.copy()
+                for i in _bit_lists(last)[s]:
+                    grown[i] |= 1 << last
+                grown[last] = s
+                key = _canonical_order(grown, j)[1]  # as _prefix_key(j, child)
                 child = mask | s << offset
-                classes.setdefault(_prefix_key(j, child), [child, 0])[1] += size * weight
+                classes.setdefault(key, [child, 0])[1] += size * weight
         orbits = [(child, size) for child, size in classes.values()]
     return orbits
 
 
-def _walk_prefix(n: int, mask: int, leaf, stop: Optional[int] = None) -> None:
-    """Call leaf(rows, deg) at every C5-free graph on the first `stop`
-    vertices (default n) that extends the prefix `mask` (edges among the
-    first _prefix_order(n) vertices); rows and deg have length n."""
+def _walk_prefix(n: int, mask: int, leaf) -> None:
+    """Call leaf(rows, deg) at every C5-free graph on n vertices that
+    extends the prefix `mask` (edges among the first _prefix_order(n)
+    vertices)."""
     k = _prefix_order(n)
     rows, deg = _prefix_rows(k, mask, n)
-    _walk(n if stop is None else stop, k, rows, deg, leaf)
+    _walk(n, k, rows, deg, leaf)
 
 
 def _walk_orbits(n: int, subtree, stats: Optional[SearchStats] = None) -> list:
     """(representative, orbit size, subtree(representative)) for each S_k
     orbit of prefixes, in _prefix_orbits order.  subtree(mask) walks below
-    one prefix and returns a tuple that starts with its leaf count."""
+    one prefix and returns a tuple that starts with its labeled leaf count."""
     start = time.perf_counter()
     orbits = _prefix_orbits(_prefix_order(n), stats)
     grouped = time.perf_counter()
@@ -347,41 +409,50 @@ def _walk_orbits(n: int, subtree, stats: Optional[SearchStats] = None) -> list:
     if stats is not None:
         stats.walk_s += time.perf_counter() - grouped
         stats.orbit_grouping_s += grouped - start
-        leaves = [part[0] for part in parts]
         stats.labeled_prefixes += sum(size for _, size in orbits)
         stats.orbit_representatives += len(orbits)
-        stats.leaves_walked += sum(leaves)
-        stats.labeled_graphs += sum(size * count for (_, size), count in zip(orbits, leaves))
+        stats.labeled_graphs += sum(size * part[0] for (_, size), part in zip(orbits, parts))
     return [(mask, size, part) for (mask, size), part in zip(orbits, parts)]
 
 
-def _subtree_search(n: int, ps: Sequence[int], mask: int):
-    """(leaves, best e_p, its ties) for every p, below one prefix.
+def _subtree_search(n: int, ps: Sequence[int], best: dict, ties: dict, mask: int) -> tuple[int, int]:
+    """(labeled leaves, leaves walked) below one prefix.  best[p] and
+    ties[p], shared by all prefixes, hold the highest e_p so far and the
+    leaves that reach it.
 
-    The walk stops one vertex short.  Each neighbourhood S in _picks of the
-    last vertex v = n-1 is then one leaf, and its e_p is that of G - v, plus
-    |S|^p, plus (d+1)^p - d^p for each member of S of degree d in G - v.
+    Vertex k = n-2 takes only the picks of _twin_picks, each standing for
+    `weight` subtrees with as many leaves and isomorphic maximizers.  Each
+    neighbourhood S in _picks of the last vertex v = n-1 is then one leaf,
+    and its e_p is that of G - v, plus |S|^p, plus (d+1)^p - d^p for each
+    member of S of degree d in G - v.  Joining v to every other vertex
+    would score at least as much, so an exponent whose best so far is
+    higher skips the scoring; a tie is still scored.
     """
     if n == 0:
-        return 1, {p: 0 for p in ps}, {p: [()] for p in ps}
+        for p in ps:
+            best[p] = 0
+            ties[p] = [()]
+        return 1, 1
     last = n - 1
     last_bit = 1 << last
     tables = [(p, [d ** p for d in range(n + 1)]) for p in ps]
-    best = {p: -1 for p in ps}
-    ties: dict[int, list[tuple[int, ...]]] = {p: [] for p in ps}
-    leaves = 0
+    labeled = walked = 0
 
-    def extend(rows, deg):
-        nonlocal leaves
-        picks = _picks(rows, last)
-        leaves += len(picks)
+    def extend(rows, deg, weight, conflict):
+        nonlocal labeled, walked
+        picks = _picks(conflict)
+        walked += len(picks)
+        labeled += weight * len(picks)
         bit_lists = _bit_lists(last)
         for p, table in tables:
-            base = 0
+            base = joined = 0
             for d in deg:
                 base += table[d]
-            gain = [table[d + 1] - table[d] for d in deg]
+                joined += table[d + 1]
             top = best[p]
+            if joined + table[last] < top:
+                continue
+            gain = [table[d + 1] - table[d] for d in deg]
             for s in picks:
                 members = bit_lists[s]
                 score = base + table[len(members)]
@@ -399,8 +470,25 @@ def _subtree_search(n: int, ps: Sequence[int], mask: int):
                         ties[p].append(tuple(leaf))
             best[p] = top
 
-    _walk_prefix(n, mask, extend, last)
-    return leaves, best, ties
+    k = _prefix_order(n)
+    rows, deg = _prefix_rows(k, mask, n)
+    conflict = _conflicts(rows, k)
+    if k == last:  # n = 1
+        extend(rows, deg, 1, conflict)
+    else:
+        k_bit = 1 << k
+        for s, weight in _twin_picks(rows, k, conflict):
+            members = _bit_lists(k)[s]
+            for i in members:
+                rows[i] |= k_bit
+                deg[i] += 1
+            rows[k] = s
+            deg[k] = len(members)
+            extend(rows, deg, weight, _conflicts_after(rows, k, conflict))
+            for i in members:
+                rows[i] ^= k_bit
+                deg[i] -= 1
+    return labeled, walked
 
 
 @dataclass(slots=True)
@@ -448,20 +536,11 @@ def search_extremal(
         if p < 1:
             raise ValueError(f"exponent p must be >= 1, got {p}")
 
-    parts = _walk_orbits(n, partial(_subtree_search, n, ps), stats)
-    walked = time.perf_counter()
-
-    visited = 0
     best = {p: -1 for p in ps}
     ties: dict[int, list[tuple[int, ...]]] = {p: [] for p in ps}
-    for _, size, (sub_leaves, sub_best, sub_ties) in parts:
-        visited += size * sub_leaves
-        for p in ps:
-            if sub_best[p] > best[p]:
-                best[p] = sub_best[p]
-                ties[p] = list(sub_ties[p])
-            elif sub_best[p] == best[p]:
-                ties[p].extend(sub_ties[p])
+    parts = _walk_orbits(n, partial(_subtree_search, n, ps, best, ties), stats)
+    walked = time.perf_counter()
+    visited = sum(size * leaves for _, size, (leaves, _) in parts)
 
     results: dict[int, SearchResult] = {}
     relabeled = 0
@@ -488,6 +567,7 @@ def search_extremal(
             maximizers=tuple(records[cert] for cert in sorted(records)),
         )
     if stats is not None:
+        stats.leaves_walked += sum(part[1] for _, _, part in parts)
         stats.ties_relabeled += relabeled
         stats.classes += sum(len(r.maximizers) for r in results.values())
         stats.merge_dedup_s += time.perf_counter() - walked

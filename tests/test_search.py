@@ -127,6 +127,23 @@ def test_conflicts_are_the_pairs_that_close_a_c5():
     assert closing > 100
 
 
+def test_conflicts_after_adding_a_vertex_match_a_full_recount():
+    # every C5-free graph on j + 1 <= 6 vertices, grown from G[0..j-1]
+    checked = 0
+    for n in range(1, 7):
+        j = n - 1
+
+        def leaf(rows, deg):
+            nonlocal checked
+            below = [row & ((1 << j) - 1) for row in rows]
+            before = search._conflicts(below, j)
+            assert search._conflicts_after(rows, j, before) == search._conflicts(rows, n)
+            checked += 1
+
+        search._walk(n, 0, [0] * n, [0] * n, leaf)
+    assert checked == sum(search.enumerate_c5_free(n) for n in range(1, 7))
+
+
 # ---------------------------------------------------------------------------
 # extremal values against the frozen oracle
 
@@ -293,6 +310,52 @@ def test_search_stats_count_the_orbit_walk():
     search_extremal(4, [2], stats=stats)
     assert stats.labeled_graphs == 316453 + 64
     assert stats.prefix_children == 111 + 3
+
+
+def test_twin_picks_stand_for_every_pick_class_by_class():
+    # per isomorphism class of G[0..j-1] + S, the weights of the twin picks
+    # add up to the number of picks S that land in it
+    for n in range(0, 6):
+
+        def leaf(rows, deg):
+            def key(s):
+                grown = list(rows) + [s]
+                for i in range(n):
+                    grown[i] |= (s >> i & 1) << n
+                return canonical_form(SmallGraph(n + 1, tuple(grown)))
+
+            conflict = search._conflicts(rows, n)
+            every, kept = {}, {}
+            for s in search._picks(conflict):
+                cls = key(s)
+                every[cls] = every.get(cls, 0) + 1
+            for s, weight in search._twin_picks(rows, n, conflict):
+                cls = key(s)
+                kept[cls] = kept.get(cls, 0) + weight
+            assert kept == every, rows
+
+        search._walk(n, 0, [0] * n, [0] * n, leaf)
+
+
+def test_search_walks_vertex_n_minus_2_through_twin_picks():
+    stats = SearchStats()
+    found = search_extremal(8, [2], stats=stats)
+    assert found[2].visited == stats.labeled_graphs == 9369687
+    assert stats.leaves_walked == 45708  # 87,056 below every pick of vertex 6
+
+
+def test_subtrees_keep_every_tie_with_the_final_incumbent():
+    # started at the final value, the skip test may pass over lower leaves
+    # only: the leaves that tie it still cover every maximizer class
+    for n in range(1, 8):
+        for p in range(1, 6):
+            res = ex_p(n, p)
+            best, ties = {p: res.value}, {p: []}
+            for mask, _ in _prefix_orbits(search._prefix_order(n)):
+                search._subtree_search(n, [p], best, ties, mask)
+            assert best[p] == res.value, (n, p)
+            found = {canonical_form(SmallGraph(n, rows)) for rows in ties[p]}
+            assert found == {rec.canonical for rec in res.maximizers}, (n, p)
 
 
 def test_search_n9_splits_at_seven_prefix_vertices():
