@@ -241,11 +241,10 @@ def _smaller_twins(rows, n: int) -> list[int]:
     return smaller
 
 
-def _canonical_order(rows, n: int) -> tuple[list[int], tuple[int, ...]]:
-    """(order, columns): the vertex order minimizing the upper-triangle
-    adjacency bitstring, and that bitstring as columns, bit i of columns[t]
-    saying whether the vertices in slots i < t and t are adjacent.  The
-    columns alone are a complete isomorphism invariant.
+def _canonical_columns(rows, n: int) -> tuple[int, ...]:
+    """The least upper-triangle adjacency bitstring over vertex orders, as
+    columns: bit i of columns[t] says whether the vertices in slots i < t
+    and t are adjacent.  Equal columns mean isomorphic graphs.
 
     Candidates at each position are restricted to the refinement cell that
     owns it (cells in ascending color), which is sound because the cell
@@ -261,29 +260,25 @@ def _canonical_order(rows, n: int) -> tuple[list[int], tuple[int, ...]]:
     graph K2 + empty(n-2) would walk every order of their large cells.
     """
     if n == 0:
-        return [], ()
+        return ()
     colors = _refine_colors(rows, n)
     by_color: dict[int, list[int]] = {}
     for v in range(n):
         by_color.setdefault(colors[v], []).append(v)
     slot_cells = [cell for c in sorted(by_color) for cell in [by_color[c]] * len(by_color[c])]
-    found: list[list[int]] = []
     best = [1 << (n + 1)] * n
-    _place_least(rows, slot_cells, _smaller_twins(rows, n), best, [], 0, found)
-    return found[0], tuple(best)
+    _place_least(rows, slot_cells, _smaller_twins(rows, n), best, [], 0)
+    return tuple(best)
 
 
-def _place_least(rows, slot_cells, smaller_twins, best, placed, placed_mask, found) -> None:
-    """One branch-and-bound step of _canonical_order: fill the slot
+def _place_least(rows, slot_cells, smaller_twins, best, placed, placed_mask) -> None:
+    """One branch-and-bound step of _canonical_columns: fill the slot
     after `placed` from its cell.  best[t] is the smallest column seen at
-    slot t, and `found` holds the first complete order that reaches all of
-    best.  A module-level function, since a self-calling closure would leave
-    one reference cycle per labeling."""
+    slot t.  A module-level function, since a self-calling closure would
+    leave one reference cycle per labeling."""
     t = len(placed)
     n = len(slot_cells)
     if t == n:
-        if not found:
-            found.append(placed.copy())
         return
     cols = {}
     for v in slot_cells[t]:
@@ -299,26 +294,20 @@ def _place_least(rows, slot_cells, smaller_twins, best, placed, placed_mask, fou
         return
     if low < best[t]:
         best[t:] = [low] + [1 << (n + 1)] * (n - t - 1)
-        found.clear()
     for v, col in cols.items():
         if col == low:
             placed.append(v)
-            _place_least(rows, slot_cells, smaller_twins, best, placed, placed_mask | 1 << v, found)
+            _place_least(rows, slot_cells, smaller_twins, best, placed, placed_mask | 1 << v)
             placed.pop()
 
 
 def canonical_relabel(g: SmallGraph) -> SmallGraph:
     """Isomorphism-canonical relabeling: equal outputs iff isomorphic inputs."""
-    perm, _ = _canonical_order(g.rows, g.order)
-    pos = {v: i for i, v in enumerate(perm)}
     rows = [0] * g.order
-    for v in range(g.order):
-        m = g.rows[v]
-        pv = pos[v]
-        while m:
-            b = m & -m
-            m ^= b
-            rows[pv] |= 1 << pos[b.bit_length() - 1]
+    for t, column in enumerate(_canonical_columns(g.rows, g.order)):
+        rows[t] |= column
+        for i in range(t):
+            rows[i] |= (column >> i & 1) << t
     return SmallGraph(g.order, tuple(rows))
 
 

@@ -48,7 +48,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .graphs import (
     CapacityError,
     SmallGraph,
-    _canonical_order,
+    _canonical_columns,
     _has_c5_through_edge,
     _smaller_twins,
     canonical_relabel,
@@ -156,35 +156,16 @@ class SearchResult:
 def _conflicts(rows, j: int) -> list[int]:
     """conflict[a] for each a < j: the vertices b that end a path a-x-y-b on
     four distinct vertices of G[0..j-1].  A new vertex j joined to a and b
-    closes a 5-cycle exactly when bit b of conflict[a] is set.
-
-    For each x, `once` holds the vertices two steps from x and `twice` those
-    reached through at least two middles y.  A path from a needs y != a.  For
-    a neighbour x of a, the middle y = a reaches every neighbour of a, so a
-    neighbour b of a counts only when a second middle reaches it: b in twice.
-    """
-    bit_lists = _bit_lists(j)
-    reach = []
-    for x in range(j):
-        once = twice = 0
-        for y in bit_lists[rows[x]]:
-            twice |= once & rows[y]
-            once |= rows[y]
-        reach.append((once, twice))
-    conflict = []
-    for a in range(j):
-        others = ~rows[a]
-        ends = 0
-        for x in bit_lists[rows[a]]:
-            once, twice = reach[x]
-            ends |= once & (twice | others) & ~(1 << x)
-        conflict.append(ends & ~(1 << a))
+    closes a 5-cycle exactly when bit b of conflict[a] is set."""
+    conflict: list[int] = []
+    for i in range(j):
+        conflict = _conflicts_after(rows, i, conflict)
     return conflict
 
 
 def _conflicts_after(rows, j: int, conflict: list[int]) -> list[int]:
-    """_conflicts(rows, j + 1), given conflict = _conflicts of G[0..j-1]
-    before vertex j joined its neighbourhood S = rows[j].
+    """_conflicts(rows, j + 1), given conflict = _conflicts(rows, j): the
+    path ends once vertex j has joined S, its neighbours below j.
 
     Only paths through j are new.  With j second, a-j-y-b: a and y are in
     S and b is a neighbour of y, so for a in S, b is a neighbour of a second
@@ -195,7 +176,7 @@ def _conflicts_after(rows, j: int, conflict: list[int]) -> list[int]:
     """
     j_bit = 1 << j
     below = j_bit - 1
-    s = rows[j]
+    s = rows[j] & below
     bit_lists = _bit_lists(j)
     once = twice = ends = 0
     for y in bit_lists[s]:
@@ -241,9 +222,10 @@ def _picks(conflict: list[int]) -> list[int]:
     return picks
 
 
-def _walk(n: int, j: int, rows, deg, leaf) -> None:
+def _walk(n: int, j: int, rows, deg, leaf, conflict: list[int]) -> None:
     """Call leaf(rows, deg) at every C5-free graph on the first n vertices
-    that extends the C5-free graph G[0..j-1] held in rows and deg.
+    that extends the C5-free graph G[0..j-1] held in rows and deg, whose
+    _conflicts are `conflict`.
 
     Recursion is by level only and defines no closure, so a walk leaves no
     reference cycles.
@@ -254,7 +236,7 @@ def _walk(n: int, j: int, rows, deg, leaf) -> None:
     bit_lists = _bit_lists(j)
     j_bit = 1 << j
     last = j + 1 == n
-    for s in _picks(_conflicts(rows, j)):
+    for s in _picks(conflict):
         members = bit_lists[s]
         for i in members:
             rows[i] |= j_bit
@@ -264,7 +246,7 @@ def _walk(n: int, j: int, rows, deg, leaf) -> None:
         if last:
             leaf(rows, deg)
         else:
-            _walk(n, j + 1, rows, deg, leaf)
+            _walk(n, j + 1, rows, deg, leaf, _conflicts_after(rows, j, conflict))
         for i in members:
             rows[i] ^= j_bit
             deg[i] -= 1
@@ -298,7 +280,7 @@ def _prefixes(k: int) -> list[int]:
         # row j below bit j is vertex j's neighbourhood S, edges 0j..(j-1)j
         found.append(sum(map(operator.lshift, map(operator.and_, rows, below), offsets)))
 
-    _walk(k, 0, [0] * k, [0] * k, leaf)
+    _walk(k, 0, [0] * k, [0] * k, leaf, [])
     return found
 
 
@@ -322,9 +304,9 @@ def _prefix_rows(k: int, mask: int, n: int) -> tuple[list[int], list[int]]:
 
 
 def _prefix_key(k: int, mask: int) -> tuple[int, ...]:
-    """The isomorphism class of the prefix `mask` on vertices 0..k-1, as the
-    adjacency columns of its canonical order."""
-    return _canonical_order(_prefix_rows(k, mask, k)[0], k)[1]
+    """The isomorphism class of the prefix `mask` on vertices 0..k-1, as its
+    canonical adjacency columns."""
+    return _canonical_columns(_prefix_rows(k, mask, k)[0], k)
 
 
 def _twin_picks(rows, j: int, conflict: list[int]) -> list[tuple[int, int]]:
@@ -382,7 +364,7 @@ def _prefix_orbits(k: int, stats: Optional[SearchStats] = None) -> list[tuple[in
                 for i in _bit_lists(last)[s]:
                     grown[i] |= 1 << last
                 grown[last] = s
-                key = _canonical_order(grown, j)[1]  # as _prefix_key(j, child)
+                key = _canonical_columns(grown, j)  # as _prefix_key(j, child)
                 child = mask | s << offset
                 classes.setdefault(key, [child, 0])[1] += size * weight
         orbits = [(child, size) for child, size in classes.values()]
@@ -395,7 +377,7 @@ def _walk_prefix(n: int, mask: int, leaf) -> None:
     vertices)."""
     k = _prefix_order(n)
     rows, deg = _prefix_rows(k, mask, n)
-    _walk(n, k, rows, deg, leaf)
+    _walk(n, k, rows, deg, leaf, _conflicts(rows, k))
 
 
 def _walk_orbits(n: int, subtree, stats: Optional[SearchStats] = None) -> list:
@@ -428,10 +410,10 @@ def _subtree_search(n: int, ps: Sequence[int], best: dict, ties: dict, mask: int
     would score at least as much, so an exponent whose best so far is
     higher skips the scoring; a tie is still scored.
     """
-    if n == 0:
+    if n <= 1:  # one leaf, the edgeless graph
         for p in ps:
             best[p] = 0
-            ties[p] = [()]
+            ties[p] = [(0,) * n]
         return 1, 1
     last = n - 1
     last_bit = 1 << last
@@ -473,21 +455,18 @@ def _subtree_search(n: int, ps: Sequence[int], best: dict, ties: dict, mask: int
     k = _prefix_order(n)
     rows, deg = _prefix_rows(k, mask, n)
     conflict = _conflicts(rows, k)
-    if k == last:  # n = 1
-        extend(rows, deg, 1, conflict)
-    else:
-        k_bit = 1 << k
-        for s, weight in _twin_picks(rows, k, conflict):
-            members = _bit_lists(k)[s]
-            for i in members:
-                rows[i] |= k_bit
-                deg[i] += 1
-            rows[k] = s
-            deg[k] = len(members)
-            extend(rows, deg, weight, _conflicts_after(rows, k, conflict))
-            for i in members:
-                rows[i] ^= k_bit
-                deg[i] -= 1
+    k_bit = 1 << k
+    for s, weight in _twin_picks(rows, k, conflict):
+        members = _bit_lists(k)[s]
+        for i in members:
+            rows[i] |= k_bit
+            deg[i] += 1
+        rows[k] = s
+        deg[k] = len(members)
+        extend(rows, deg, weight, _conflicts_after(rows, k, conflict))
+        for i in members:
+            rows[i] ^= k_bit
+            deg[i] -= 1
     return labeled, walked
 
 

@@ -102,7 +102,7 @@ def test_vertex_walk_visits_the_edge_tree_leaves_in_order():
             assert deg == [row.bit_count() for row in rows]
             walked.append(hash(tuple(rows)))
 
-        search._walk(n, 0, [0] * n, [0] * n, leaf)
+        search._walk(n, 0, [0] * n, [0] * n, leaf, [])
         assert walked == reference, n
 
 
@@ -125,23 +125,6 @@ def test_conflicts_are_the_pairs_that_close_a_c5():
             closing += closes
             assert bool((conflict[a] >> b) & 1) == bool((conflict[b] >> a) & 1) == closes, (edges, a, b)
     assert closing > 100
-
-
-def test_conflicts_after_adding_a_vertex_match_a_full_recount():
-    # every C5-free graph on j + 1 <= 6 vertices, grown from G[0..j-1]
-    checked = 0
-    for n in range(1, 7):
-        j = n - 1
-
-        def leaf(rows, deg):
-            nonlocal checked
-            below = [row & ((1 << j) - 1) for row in rows]
-            before = search._conflicts(below, j)
-            assert search._conflicts_after(rows, j, before) == search._conflicts(rows, n)
-            checked += 1
-
-        search._walk(n, 0, [0] * n, [0] * n, leaf)
-    assert checked == sum(search.enumerate_c5_free(n) for n in range(1, 7))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +317,7 @@ def test_twin_picks_stand_for_every_pick_class_by_class():
                 kept[cls] = kept.get(cls, 0) + weight
             assert kept == every, rows
 
-        search._walk(n, 0, [0] * n, [0] * n, leaf)
+        search._walk(n, 0, [0] * n, [0] * n, leaf, [])
 
 
 def test_search_walks_vertex_n_minus_2_through_twin_picks():
