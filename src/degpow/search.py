@@ -8,8 +8,9 @@ that order lists (0,j), (1,j), ..., (j-1,j) together, it picks vertex j's
 neighbourhood S in {0..j-1} bit by bit, and joining j to S closes a 5-cycle
 exactly when two members of S end a path a-x-y-b on four distinct vertices
 of G[0..j-1].  The search and the sweeps therefore run _walk, which adds one
-vertex at a time: it finds those path ends once per graph on j vertices
-(_conflicts), after which each include test is one AND.  Taking the bits of
+vertex at a time: it keeps those path ends for each graph on j vertices,
+updated from its parent's (_conflicts_after), so each include test is one
+AND.  Taking the bits of
 S include-first reproduces the reference's leaf order, so ties and violation
 lists come out the same.  Labeled counts grow fast (9,369,687 at n = 8),
 which is why the leaf work is all bitmask arithmetic on raw adjacency rows;
