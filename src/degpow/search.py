@@ -18,28 +18,28 @@ the SmallGraph API appears only at the edges of the module.
 
 The extremal search and the validator sweeps split the walk at the first
 k = n - 2 vertices (k = 0 below n = 3): _prefixes is the same walk stopped
-at k vertices, and its graphs are the prefixes.  Every later edge touches a
-vertex >= k, so a permutation of {0..k-1} maps the completions of one prefix
-one-to-one onto the completions of its image, keeping e_p, C5-freeness, the
-isomorphism class and every property the sweeps test.  Both walk one prefix
-per S_k orbit and weight its counts by the orbit size, so `visited`,
-`graphs` and `pairs_checked` stay exact labeled counts.  _prefix_orbits
-grows the orbits one vertex at a time and keeps one graph per canonical form
-(McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998): at
-n = 9 it keys 1,728 children into the 251 orbits of the 316,453 prefixes on
-7 vertices, without listing the prefixes, and each representative leaves
-only the last two vertices to walk.  The search walks vertex n - 2 only
-through the neighbourhoods of _twin_picks, weighted by the picks each
-stands for.  Violations name labeled graphs, so a
-sweep walks the prefixes of an orbit again, in _prefixes order and picked
-by canonical form, only when its representative shows one.  Everything runs
-in one process.
+at k vertices, and its graphs, as tuples of adjacency rows, are the
+prefixes.  Every later edge touches a vertex >= k, so a permutation of
+{0..k-1} maps the completions of one prefix one-to-one onto the completions
+of its image, keeping e_p, C5-freeness, the isomorphism class and every
+property the sweeps test.  _prefix_orbits grows the orbits one vertex at a
+time and keeps one graph per canonical form (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 1998): at n = 9 it keys 1,728
+children into the 251 orbits of the 316,453 prefixes on 7 vertices, without
+listing the prefixes.  Both consumers then share one driver,
+_walk_classes: it takes vertex n - 2 of each representative only through
+the neighbourhoods of _twin_picks and hands each graph on n - 1 vertices to
+a visitor, weighted by the orbit size times the picks it stands for, so
+`visited`, `graphs` and `pairs_checked` stay exact labeled counts.  The
+search's visitor scores the picks of the last vertex, a sweep's walks them.
+Violations name labeled graphs, so a sweep walks the prefixes of a class
+again, in _prefixes order and picked by canonical form, only when its
+representative shows one.  Everything runs in one process.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -265,49 +265,12 @@ def _bit_lists(j: int) -> tuple[tuple[int, ...], ...]:
     return shorter + tuple(members + (j - 1,) for members in shorter)
 
 
-def _edge_offsets(k: int) -> list[int]:
-    # edge (i, j) of _edge_order is bit j(j-1)/2 + i of a prefix mask
-    return [j * (j - 1) // 2 for j in range(k)]
-
-
-def _prefixes(k: int) -> list[int]:
-    """All C5-free graphs on vertices 0..k-1 as edge-index masks (bit t is
-    edge t of _edge_order), in walk order."""
-    found: list[int] = []
-    below = [(1 << j) - 1 for j in range(k)]
-    offsets = _edge_offsets(k)
-
-    def leaf(rows, deg):
-        # row j below bit j is vertex j's neighbourhood S, edges 0j..(j-1)j
-        found.append(sum(map(operator.lshift, map(operator.and_, rows, below), offsets)))
-
-    _walk(k, 0, [0] * k, [0] * k, leaf, [])
+def _prefixes(k: int) -> list[tuple[int, ...]]:
+    """All C5-free graphs on vertices 0..k-1 as adjacency-row tuples, in walk
+    order."""
+    found: list[tuple[int, ...]] = []
+    _walk(k, 0, [0] * k, [0] * k, lambda rows, deg: found.append(tuple(rows)), [])
     return found
-
-
-def _prefix_order(n: int) -> int:
-    return max(n - 2, 0)
-
-
-def _prefix_rows(k: int, mask: int, n: int) -> tuple[list[int], list[int]]:
-    """Adjacency rows and degrees, padded to length n, of the prefix `mask`
-    on vertices 0..k-1."""
-    rows = [0] * n
-    deg = [0] * n
-    for j, off in enumerate(_edge_offsets(k)):
-        s = (mask >> off) & ((1 << j) - 1)
-        rows[j] = s
-        deg[j] = s.bit_count()
-        for i in _bit_lists(j)[s]:
-            rows[i] |= 1 << j
-            deg[i] += 1
-    return rows, deg
-
-
-def _prefix_key(k: int, mask: int) -> tuple[int, ...]:
-    """The isomorphism class of the prefix `mask` on vertices 0..k-1, as its
-    canonical adjacency columns."""
-    return _canonical_columns(_prefix_rows(k, mask, k)[0], k)
 
 
 def _twin_picks(rows, j: int, conflict: list[int]) -> list[tuple[int, int]]:
@@ -331,15 +294,17 @@ def _twin_picks(rows, j: int, conflict: list[int]) -> list[tuple[int, int]]:
     ]
 
 
-def _prefix_orbits(k: int, stats: Optional[SearchStats] = None) -> list[tuple[int, int]]:
+def _prefix_orbits(
+    k: int, stats: Optional[SearchStats] = None
+) -> list[tuple[tuple[int, ...], int]]:
     """(representative, orbit size) for each S_k orbit of the C5-free prefixes
-    on vertices 0..k-1, representatives in _prefixes order: each is its
-    orbit's first prefix in that order.
+    on vertices 0..k-1, representatives as row tuples in _prefixes order:
+    each is its orbit's first prefix in that order.
 
     The orbits are grown one vertex at a time.  Level j extends each
     representative D on j-1 vertices, in order, by the picks S of vertex
-    j-1 and keys each child by its canonical form; the first child with a
-    new key represents its class.  A permutation of D's vertices that fixes
+    j-1 and keys each child by its canonical columns; the first child with
+    a new key represents its class.  A permutation of D's vertices that fixes
     j-1 maps D's picks onto those of any relabeling of D, class by class,
     so the class of C holds sum over D of |orbit of D| * (picks of D that
     land in C) labeled prefixes.  The orbit's first prefix H is such a
@@ -351,124 +316,117 @@ def _prefix_orbits(k: int, stats: Optional[SearchStats] = None) -> list[tuple[in
     picks; include-first order puts it first among them, so no first child
     is skipped.
     """
-    orbits = [(0, 1)]
+    orbits = [((), 1)]
     for j in range(1, k + 1):
         last = j - 1
-        offset = _edge_offsets(j)[last]
-        classes: dict[tuple[int, ...], list[int]] = {}
-        for mask, size in orbits:
-            rows, _ = _prefix_rows(last, mask, j)
+        last_bit = 1 << last
+        classes: dict[tuple[int, ...], list] = {}
+        for rep, size in orbits:
+            rows = [*rep, 0]
             for s, weight in _twin_picks(rows, last, _conflicts(rows, last)):
                 if stats is not None:
                     stats.prefix_children += 1
-                grown = rows.copy()
+                child = rows.copy()
                 for i in _bit_lists(last)[s]:
-                    grown[i] |= 1 << last
-                grown[last] = s
-                key = _canonical_columns(grown, j)  # as _prefix_key(j, child)
-                child = mask | s << offset
-                classes.setdefault(key, [child, 0])[1] += size * weight
+                    child[i] |= last_bit
+                child[last] = s
+                key = _canonical_columns(child, j)
+                classes.setdefault(key, [tuple(child), 0])[1] += size * weight
         orbits = [(child, size) for child, size in classes.values()]
     return orbits
 
 
-def _walk_prefix(n: int, mask: int, leaf) -> None:
-    """Call leaf(rows, deg) at every C5-free graph on n vertices that
-    extends the prefix `mask` (edges among the first _prefix_order(n)
-    vertices)."""
-    k = _prefix_order(n)
-    rows, deg = _prefix_rows(k, mask, n)
-    _walk(n, k, rows, deg, leaf, _conflicts(rows, k))
+def _walk_classes(n: int, visit, stats: Optional[SearchStats] = None) -> None:
+    """Call visit(rows, deg, conflict, weight, rep) once for each graph G on
+    the first n - 1 vertices that the search and the sweeps complete: for
+    each representative rep of _prefix_orbits on k = n - 2 vertices and
+    each pick S of vertex k in _twin_picks.  Below n = 2 there is no vertex
+    n - 2, and rep itself is G.
 
-
-def _walk_orbits(n: int, subtree, stats: Optional[SearchStats] = None) -> list:
-    """(representative, orbit size, subtree(representative)) for each S_k
-    orbit of prefixes, in _prefix_orbits order.  subtree(mask) walks below
-    one prefix and returns a tuple that starts with its labeled leaf count."""
+    rows and deg hold G padded to n vertices, conflict is
+    _conflicts(rows, n - 1), and weight, the orbit size times the twin
+    weight of S, counts the labeled graphs on n - 1 vertices that G stands
+    for: each of them is a visited G relabeled on {0..k-1} and within the
+    twin classes of rep.  visit must leave rows and deg as it found them.
+    """
     start = time.perf_counter()
-    orbits = _prefix_orbits(_prefix_order(n), stats)
+    k = max(n - 2, 0)
+    orbits = _prefix_orbits(k, stats)
     grouped = time.perf_counter()
-    parts = [subtree(mask) for mask, _ in orbits]
+    k_bit = 1 << k
+    for rep, size in orbits:
+        rows = [*rep] + [0] * (n - k)
+        deg = [row.bit_count() for row in rows]
+        if n < 2:
+            visit(rows, deg, [], size, rep)
+            continue
+        conflict = _conflicts(rows, k)
+        for s, weight in _twin_picks(rows, k, conflict):
+            members = _bit_lists(k)[s]
+            for i in members:
+                rows[i] |= k_bit
+                deg[i] += 1
+            rows[k] = s
+            deg[k] = len(members)
+            visit(rows, deg, _conflicts_after(rows, k, conflict), size * weight, rep)
+            for i in members:
+                rows[i] ^= k_bit
+                deg[i] -= 1
     if stats is not None:
         stats.walk_s += time.perf_counter() - grouped
         stats.orbit_grouping_s += grouped - start
         stats.labeled_prefixes += sum(size for _, size in orbits)
         stats.orbit_representatives += len(orbits)
-        stats.labeled_graphs += sum(size * part[0] for (_, size), part in zip(orbits, parts))
-    return [(mask, size, part) for (mask, size), part in zip(orbits, parts)]
 
 
-def _subtree_search(n: int, ps: Sequence[int], best: dict, ties: dict, mask: int) -> tuple[int, int]:
-    """(labeled leaves, leaves walked) below one prefix.  best[p] and
-    ties[p], shared by all prefixes, hold the highest e_p so far and the
-    leaves that reach it.
+def _score_picks(tables, best, ties, counts, rows, deg, conflict, weight, rep) -> None:
+    """The search's visitor for _walk_classes.  tables holds (p, [d**p for
+    d = 0..n]) per exponent; best[p] and ties[p], shared by all visits, hold
+    the highest e_p so far and the leaves that reach it; counts holds the
+    labeled leaves and the leaves walked.
 
-    Vertex k = n-2 takes only the picks of _twin_picks, each standing for
-    `weight` subtrees with as many leaves and isomorphic maximizers.  Each
-    neighbourhood S in _picks of the last vertex v = n-1 is then one leaf,
+    Each neighbourhood S in _picks of the last vertex v = n-1 is one leaf,
     and its e_p is that of G - v, plus |S|^p, plus (d+1)^p - d^p for each
     member of S of degree d in G - v.  Joining v to every other vertex
     would score at least as much, so an exponent whose best so far is
     higher skips the scoring; a tie is still scored.
     """
-    if n <= 1:  # one leaf, the edgeless graph
-        for p in ps:
+    picks = _picks(conflict)
+    counts[0] += weight * len(picks)
+    counts[1] += len(picks)
+    last = len(rows) - 1
+    if last < 0:  # n = 0: the one leaf is the empty graph
+        for p, _ in tables:
             best[p] = 0
-            ties[p] = [(0,) * n]
-        return 1, 1
-    last = n - 1
+            ties[p] = [()]
+        return
     last_bit = 1 << last
-    tables = [(p, [d ** p for d in range(n + 1)]) for p in ps]
-    labeled = walked = 0
-
-    def extend(rows, deg, weight, conflict):
-        nonlocal labeled, walked
-        picks = _picks(conflict)
-        walked += len(picks)
-        labeled += weight * len(picks)
-        bit_lists = _bit_lists(last)
-        for p, table in tables:
-            base = joined = 0
-            for d in deg:
-                base += table[d]
-                joined += table[d + 1]
-            top = best[p]
-            if joined + table[last] < top:
-                continue
-            gain = [table[d + 1] - table[d] for d in deg]
-            for s in picks:
-                members = bit_lists[s]
-                score = base + table[len(members)]
+    bit_lists = _bit_lists(last)
+    for p, table in tables:
+        base = joined = 0
+        for d in deg:
+            base += table[d]
+            joined += table[d + 1]
+        top = best[p]
+        if joined + table[last] < top:
+            continue
+        gain = [table[d + 1] - table[d] for d in deg]
+        for s in picks:
+            members = bit_lists[s]
+            score = base + table[len(members)]
+            for i in members:
+                score += gain[i]
+            if score >= top:
+                leaf = rows.copy()
                 for i in members:
-                    score += gain[i]
-                if score >= top:
-                    leaf = rows.copy()
-                    for i in members:
-                        leaf[i] |= last_bit
-                    leaf[last] = s
-                    if score > top:
-                        top = score
-                        ties[p] = [tuple(leaf)]
-                    else:
-                        ties[p].append(tuple(leaf))
-            best[p] = top
-
-    k = _prefix_order(n)
-    rows, deg = _prefix_rows(k, mask, n)
-    conflict = _conflicts(rows, k)
-    k_bit = 1 << k
-    for s, weight in _twin_picks(rows, k, conflict):
-        members = _bit_lists(k)[s]
-        for i in members:
-            rows[i] |= k_bit
-            deg[i] += 1
-        rows[k] = s
-        deg[k] = len(members)
-        extend(rows, deg, weight, _conflicts_after(rows, k, conflict))
-        for i in members:
-            rows[i] ^= k_bit
-            deg[i] -= 1
-    return labeled, walked
+                    leaf[i] |= last_bit
+                leaf[last] = s
+                if score > top:
+                    top = score
+                    ties[p] = [tuple(leaf)]
+                else:
+                    ties[p].append(tuple(leaf))
+        best[p] = top
 
 
 @dataclass(slots=True)
@@ -503,8 +461,8 @@ def search_extremal(
     Returns per-p SearchResults carrying the value, the labeled visit count,
     and the deduplicated isomorphism classes of maximizers (canonical
     relabelings, sorted by certificate).  Only one prefix per S_k orbit is
-    walked (see the module docstring); visited is the orbit-size-weighted
-    sum of its leaves.
+    walked (see the module docstring); visited is the weighted sum of the
+    leaves of _walk_classes.
 
     stats, when given, accumulates counters and phase times.
     """
@@ -518,9 +476,11 @@ def search_extremal(
 
     best = {p: -1 for p in ps}
     ties: dict[int, list[tuple[int, ...]]] = {p: [] for p in ps}
-    parts = _walk_orbits(n, partial(_subtree_search, n, ps, best, ties), stats)
+    counts = [0, 0]  # labeled leaves, leaves walked
+    tables = [(p, [d ** p for d in range(n + 1)]) for p in ps]
+    _walk_classes(n, partial(_score_picks, tables, best, ties, counts), stats)
     walked = time.perf_counter()
-    visited = sum(size * leaves for _, size, (leaves, _) in parts)
+    visited = counts[0]
 
     results: dict[int, SearchResult] = {}
     relabeled = 0
@@ -547,7 +507,8 @@ def search_extremal(
             maximizers=tuple(records[cert] for cert in sorted(records)),
         )
     if stats is not None:
-        stats.leaves_walked += sum(part[1] for _, _, part in parts)
+        stats.labeled_graphs += visited
+        stats.leaves_walked += counts[1]
         stats.ties_relabeled += relabeled
         stats.classes += sum(len(r.maximizers) for r in results.values())
         stats.merge_dedup_s += time.perf_counter() - walked
@@ -863,43 +824,55 @@ def _check_completion(rows, deg, n: int, violations: list[str]) -> int:
     return pairs
 
 
-def _sweep_subtree(n: int, check, mask: int) -> tuple[int, int, list[str]]:
-    leaves = 0
-    pairs = 0
-    violations: list[str] = []
+def _sweep_picks(check, totals, dirty, rows, deg, conflict, weight, rep) -> None:
+    """A sweep's visitor for _walk_classes: walk the picks of the last
+    vertex, add weight times the leaves and the (graph, hub) pairs to
+    totals, and mark rep dirty when a leaf shows a violation.  Every check
+    is invariant under relabeling, so the picks that _walk_classes skips
+    show a violation exactly when the ones it visits do."""
+    n = len(rows)
+    found: list[str] = []
 
     def leaf(rows, deg):
-        nonlocal leaves, pairs
-        leaves += 1
-        pairs += check(rows, deg, n, violations)
+        totals[0] += weight
+        totals[1] += weight * check(rows, deg, n, found)
 
-    _walk_prefix(n, mask, leaf)
-    return leaves, pairs, violations
+    _walk(n, len(conflict), rows, deg, leaf, conflict)  # from vertex n - 1, if any
+    if found:
+        dirty.add(rep)
 
 
 def _sweep(n: int, check, force: bool) -> SweepResult:
     """Run check(rows, deg, n, violations), which returns the number of
-    (graph, hub) pairs it tested, on one representative per prefix orbit.
+    (graph, hub) pairs it tested, below each graph of _walk_classes.
 
-    A dirty orbit is walked again prefix by prefix in _prefixes order, its
-    members found by canonical form, so violations come out as the full
-    labeled walk would list them.
+    The prefixes of a dirty class are walked again in full, in _prefixes
+    order, so violations come out as the full labeled walk would list them.
+    Only the prefixes with a dirty representative's sorted degree sequence
+    are keyed by canonical form.
     """
     _check_search_order(n, force)
-    subtree = partial(_sweep_subtree, n, check)
-    parts = _walk_orbits(n, subtree)
-    k = _prefix_order(n)
-    dirty = {_prefix_key(k, rep) for rep, _, (_, _, found) in parts if found}
+    totals = [0, 0]  # labeled graphs, (graph, hub) pairs
+    dirty: set[tuple[int, ...]] = set()
+    _walk_classes(n, partial(_sweep_picks, check, totals, dirty))
     violations: list[str] = []
-    if dirty:
-        for mask in _prefixes(k):
-            if _prefix_key(k, mask) in dirty:
-                violations += subtree(mask)[2]
+
+    def leaf(rows, deg):
+        check(rows, deg, n, violations)
+
+    def degrees(rows):
+        return tuple(sorted(map(int.bit_count, rows)))
+
+    k = max(n - 2, 0)
+    wanted = {degrees(rep) for rep in dirty}
+    keys = {_canonical_columns(rep, k) for rep in dirty}
+    for prefix in _prefixes(k) if dirty else ():
+        if degrees(prefix) in wanted and _canonical_columns(prefix, k) in keys:
+            rows = [*prefix] + [0] * (n - k)
+            deg = [row.bit_count() for row in rows]
+            _walk(n, k, rows, deg, leaf, _conflicts(rows, k))
     return SweepResult(
-        n=n,
-        graphs=sum(size * part[0] for _, size, part in parts),
-        pairs_checked=sum(size * part[1] for _, size, part in parts),
-        violations=tuple(violations),
+        n=n, graphs=totals[0], pairs_checked=totals[1], violations=tuple(violations)
     )
 
 

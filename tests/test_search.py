@@ -4,6 +4,7 @@ classification, and the neighborhood validators driven by the same walker."""
 import gc
 import itertools
 import random
+from functools import partial
 
 import networkx as nx
 import pytest
@@ -269,14 +270,32 @@ def test_prefix_orbits_match_canonical_forms_of_the_labeled_prefixes():
     # summed over the levels 1..k
     children = [0, 1, 3, 9, 29, 111, 412]
     for k in range(0, 7):
-        edges = [(i, j) for j in range(k) for i in range(j)]
         classes = {}
-        for mask in _prefixes(k):
-            g = from_edges(k, [e for t, e in enumerate(edges) if mask >> t & 1])
-            classes.setdefault(canonical_form(g), [mask, 0])[1] += 1
+        for rows in _prefixes(k):
+            classes.setdefault(canonical_form(SmallGraph(k, rows)), [rows, 0])[1] += 1
         stats = SearchStats()
-        assert _prefix_orbits(k, stats) == [(mask, size) for mask, size in classes.values()], k
+        assert _prefix_orbits(k, stats) == [(rows, size) for rows, size in classes.values()], k
         assert stats.prefix_children == children[k], k
+
+
+def test_class_walk_weights_count_the_graphs_on_n_minus_1_vertices():
+    # the edge-decision tree is the reference: the weights handed out sum to
+    # its count on n - 1 vertices, and each conflict is the one of the
+    # graph handed over
+    for n in range(1, 9):
+        total = 0
+
+        def visit(rows, deg, conflict, weight, rep):
+            nonlocal total
+            total += weight
+            assert len(rows) == len(deg) == n and rows[n - 1] == 0
+            assert deg == [row.bit_count() for row in rows]
+            assert conflict == search._conflicts(rows, n - 1)
+            k = len(rep)  # rep is G[0..k-1]
+            assert [row & ((1 << k) - 1) for row in rows[:k]] == list(rep)
+
+        search._walk_classes(n, visit)
+        assert total == enumerate_c5_free(n - 1), n
 
 
 def test_search_stats_count_the_orbit_walk():
@@ -334,8 +353,8 @@ def test_subtrees_keep_every_tie_with_the_final_incumbent():
         for p in range(1, 6):
             res = ex_p(n, p)
             best, ties = {p: res.value}, {p: []}
-            for mask, _ in _prefix_orbits(search._prefix_order(n)):
-                search._subtree_search(n, [p], best, ties, mask)
+            tables = [(p, [d ** p for d in range(n + 1)])]
+            search._walk_classes(n, partial(search._score_picks, tables, best, ties, [0, 0]))
             assert best[p] == res.value, (n, p)
             found = {canonical_form(SmallGraph(n, rows)) for rows in ties[p]}
             assert found == {rec.canonical for rec in res.maximizers}, (n, p)
@@ -697,7 +716,19 @@ def test_violations_keep_the_labeled_order_past_four_prefix_vertices(monkeypatch
     enumerate_c5_free(n, visit)
     clean = sweep_observations(n)
     monkeypatch.setattr(search, "_validate_observation_rows", stub)
+    canonical_columns = search._canonical_columns
+    keyed = 0
+
+    def counted(rows, k):
+        nonlocal keyed
+        keyed += 1
+        return canonical_columns(rows, k)
+
+    monkeypatch.setattr(search, "_canonical_columns", counted)
     swept = sweep_observations(n)
+    # the class growth and the dirty path together key fewer graphs than
+    # the 806 labeled prefixes: only those with a dirty degree sequence
+    assert keyed < len(_prefixes(5))
     assert 100 < len(expected) < clean.pairs_checked
     assert swept.violations == tuple(expected)
     assert (swept.graphs, swept.pairs_checked) == (clean.graphs, clean.pairs_checked)
