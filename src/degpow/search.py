@@ -23,15 +23,17 @@ prefixes.  Every later edge touches a vertex >= k, so a permutation of
 {0..k-1} maps the completions of one prefix one-to-one onto the completions
 of its image, keeping e_p, C5-freeness, the isomorphism class and every
 property the sweeps test.  _prefix_orbits grows the orbits one vertex at a
-time and keeps one graph per canonical form (McKay, "Isomorph-free
-exhaustive generation", J. Algorithms 1998): at n = 9 it keys 1,728
-children into the 251 orbits of the 316,453 prefixes on 7 vertices, without
-listing the prefixes.  Both consumers then share one driver,
-_walk_classes: it takes vertex n - 2 of each representative only through
-the neighbourhoods of _twin_picks and hands each graph on n - 1 vertices to
-a visitor, weighted by the orbit size times the picks it stands for, so
-`visited`, `graphs` and `pairs_checked` stay exact labeled counts.  The
-search's visitor scores the picks of the last vertex, a sweep's walks them.
+time and keeps one graph per canonical form, keying only the children whose
+new vertex has the maximum degree (canonical deletion, McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 1998): at n = 9 it keys 536 children
+into the 251 orbits of the 316,453 prefixes on 7 vertices, without listing
+the prefixes.  Both consumers then share one class walk, _walk_classes: it
+takes vertex n - 2 of each representative only through the neighbourhoods
+of _twin_picks and hands each graph on n - 1 vertices to a visitor,
+weighted by the orbit size times the picks it stands for, so `visited`,
+`graphs` and `pairs_checked` stay exact labeled counts.  The search's
+visitor scores the picks of the last vertex, by the same rule only below
+the graphs whose vertex n - 2 has the maximum degree; a sweep's walks them.
 Violations name labeled graphs, so a sweep walks the prefixes of a class
 again, in _prefixes order and picked by canonical form, only when its
 representative shows one.  Everything runs in one process.
@@ -205,18 +207,20 @@ def _conflicts_after(rows, j: int, conflict: list[int]) -> list[int]:
     return grown
 
 
-def _picks(conflict: list[int]) -> list[int]:
+def _picks(conflict: list[int], smaller: Optional[list[int]] = None) -> list[int]:
     """The neighbourhoods S in {0..j-1} that vertex j can take in the C5-free
     graph G[0..j-1], given its conflict = _conflicts(rows, j): no two
     members of S in conflict.  S is grown bit by bit, i = 0..j-1, the
     include branch first, which is the edge-decision tree's order of its
-    leaves."""
+    leaves.  With smaller, the _smaller_twins of G[0..j-1], S takes a
+    vertex only once it holds all of that vertex's smaller twins."""
     picks = [0]
     for i, ends in enumerate(conflict):
         bit = 1 << i
+        need = smaller[i] if smaller else 0
         grown = []
         for s in picks:
-            if not ends & s:
+            if not ends & s and not need & ~s:
                 grown.append(s | bit)
             grown.append(s)
         picks = grown
@@ -286,35 +290,48 @@ def _twin_picks(rows, j: int, conflict: list[int]) -> list[tuple[int, int]]:
     # keyed by the smallest member; the largest member's entry, the whole
     # class, comes last and wins
     twin_classes = {b & -b: b | 1 << v for v, b in enumerate(smaller) if b}.values()
-    bit_lists = _bit_lists(j)
     return [
         (s, math.prod(math.comb(t.bit_count(), (s & t).bit_count()) for t in twin_classes))
-        for s in _picks(conflict)
-        if not any(smaller[i] & ~s for i in bit_lists[s])
+        for s in _picks(conflict, smaller)
     ]
+
+
+def _exact_share(total: int, parts: int) -> int:
+    """total / parts, which the orbit-counting arguments make exact."""
+    share, rest = divmod(total, parts)
+    assert not rest, (total, parts)
+    return share
 
 
 def _prefix_orbits(
     k: int, stats: Optional[SearchStats] = None
 ) -> list[tuple[tuple[int, ...], int]]:
     """(representative, orbit size) for each S_k orbit of the C5-free prefixes
-    on vertices 0..k-1, representatives as row tuples in _prefixes order:
-    each is its orbit's first prefix in that order.
+    on vertices 0..k-1, representatives as row tuples.  A representative is
+    some member of its orbit whose last vertex has the maximum degree, not
+    the orbit's first prefix in _prefixes order.
 
-    The orbits are grown one vertex at a time.  Level j extends each
-    representative D on j-1 vertices, in order, by the picks S of vertex
-    j-1 and keys each child by its canonical columns; the first child with
-    a new key represents its class.  A permutation of D's vertices that fixes
-    j-1 maps D's picks onto those of any relabeling of D, class by class,
-    so the class of C holds sum over D of |orbit of D| * (picks of D that
-    land in C) labeled prefixes.  The orbit's first prefix H is such a
-    first child: moving H[0..j-2] onto its representative while fixing j-1
-    gives a member of H's orbit, which cannot come before H, and the walk
-    orders the first j-1 vertices first, so H[0..j-2] is the representative.
+    The orbits are grown one vertex at a time, by canonical deletion of a
+    maximum-degree vertex (McKay 1998).  Level j extends each representative
+    D on j-1 vertices by the picks S of vertex j-1 and keys a child by its
+    canonical columns only when its new vertex j-1 has the maximum degree;
+    the first child with a new key represents its class C.  Every class is
+    reached: relabel a member of C so that j-1 has the maximum degree;
+    deleting j-1 leaves a graph in some orbit D, and moving that graph onto
+    D's representative while fixing j-1 gives a pick of D whose child lies
+    in C with j-1 at the max degree.
+
+    Sizes need no automorphism group.  A permutation of D's vertices that
+    fixes j-1 maps D's picks onto those of any relabeling of D, class by
+    class, so sigma, the sum over D of |orbit of D| * (keyed picks of D
+    that land in C), counts the labeled members of C whose vertex j-1 has
+    the maximum degree.  By symmetry that is |C| * mu / j, with mu the
+    number of max-degree vertices of C, so |C| = j * sigma / mu, an exact
+    division.
 
     Only the picks of _twin_picks are keyed, each standing for `weight`
-    picks; include-first order puts it first among them, so no first child
-    is skipped.
+    picks.  Those picks are images of each other under automorphisms of D
+    that fix j-1, so the degree test passes for all of them or none.
     """
     orbits = [((), 1)]
     for j in range(1, k + 1):
@@ -323,7 +340,15 @@ def _prefix_orbits(
         classes: dict[tuple[int, ...], list] = {}
         for rep, size in orbits:
             rows = [*rep, 0]
+            # the new vertex has the max degree when |S| is at least every
+            # old degree and above those of its members, which S raises
+            degrees = [row.bit_count() for row in rep]
+            top = max(degrees, default=0)
+            tops = sum(1 << i for i, d in enumerate(degrees) if d == top)
             for s, weight in _twin_picks(rows, last, _conflicts(rows, last)):
+                d = s.bit_count()
+                if d < top or d == top and s & tops:
+                    continue
                 if stats is not None:
                     stats.prefix_children += 1
                 child = rows.copy()
@@ -332,7 +357,10 @@ def _prefix_orbits(
                 child[last] = s
                 key = _canonical_columns(child, j)
                 classes.setdefault(key, [tuple(child), 0])[1] += size * weight
-        orbits = [(child, size) for child, size in classes.values()]
+        orbits = []
+        for child, sigma in classes.values():
+            degrees = [row.bit_count() for row in child]
+            orbits.append((child, _exact_share(j * sigma, degrees.count(degrees[last]))))
     return orbits
 
 
@@ -343,8 +371,9 @@ def _walk_classes(n: int, visit, stats: Optional[SearchStats] = None) -> None:
     each pick S of vertex k in _twin_picks.  Below n = 2 there is no vertex
     n - 2, and rep itself is G.
 
-    rows and deg hold G padded to n vertices, conflict is
-    _conflicts(rows, n - 1), and weight, the orbit size times the twin
+    rows and deg hold G padded to n vertices, conflict is _conflicts(rows,
+    k), the path ends of rep, which _last_conflicts extends to those of G
+    when a visitor needs them, and weight, the orbit size times the twin
     weight of S, counts the labeled graphs on n - 1 vertices that G stands
     for: each of them is a visited G relabeled on {0..k-1} and within the
     twin classes of rep.  visit must leave rows and deg as it found them.
@@ -368,7 +397,7 @@ def _walk_classes(n: int, visit, stats: Optional[SearchStats] = None) -> None:
                 deg[i] += 1
             rows[k] = s
             deg[k] = len(members)
-            visit(rows, deg, _conflicts_after(rows, k, conflict), size * weight, rep)
+            visit(rows, deg, conflict, size * weight, rep)
             for i in members:
                 rows[i] ^= k_bit
                 deg[i] -= 1
@@ -379,11 +408,29 @@ def _walk_classes(n: int, visit, stats: Optional[SearchStats] = None) -> None:
         stats.orbit_representatives += len(orbits)
 
 
+def _last_conflicts(rows, conflict: list[int]) -> list[int]:
+    """_conflicts(rows, n - 1) for a visit of _walk_classes, given its
+    conflict = _conflicts(rows, n - 2): vertex n - 2 joins.  Below n = 2
+    there is no vertex n - 2, and conflict is already the answer."""
+    k = len(rows) - 2
+    return _conflicts_after(rows, k, conflict) if k >= 0 else conflict
+
+
 def _score_picks(tables, best, ties, counts, rows, deg, conflict, weight, rep) -> None:
     """The search's visitor for _walk_classes.  tables holds (p, [d**p for
     d = 0..n]) per exponent; best[p] and ties[p], shared by all visits, hold
     the highest e_p so far and the leaves that reach it; counts holds the
-    labeled leaves and the leaves walked.
+    leaves walked, the visits scored and, per mu below, the weighted leaves.
+
+    A visit G on n - 1 vertices is scored only when its vertex n - 2 has
+    the maximum degree, the rule of _prefix_orbits one level up.  Every
+    class C on n - 1 vertices is still scored, so every leaf class is still
+    reached: a leaf less its last vertex lies in some C.  By the argument
+    of _prefix_orbits, the weights of C's scored visits add up to
+    |C| * mu / (n - 1), with mu the number of max-degree vertices of C, and
+    every member of C has as many picks as G.  So `visited` is the sum over
+    mu of (n - 1) / mu times the weighted leaves of the visits with that
+    mu, an exact division.  Below n = 2 the one visit stands for itself.
 
     Each neighbourhood S in _picks of the last vertex v = n-1 is one leaf,
     and its e_p is that of G - v, plus |S|^p, plus (d+1)^p - d^p for each
@@ -391,10 +438,17 @@ def _score_picks(tables, best, ties, counts, rows, deg, conflict, weight, rep) -
     would score at least as much, so an exponent whose best so far is
     higher skips the scoring; a tie is still scored.
     """
-    picks = _picks(conflict)
-    counts[0] += weight * len(picks)
-    counts[1] += len(picks)
     last = len(rows) - 1
+    mu = 1
+    if last > 0:
+        top = max(deg)
+        if deg[last - 1] != top:
+            return
+        mu = deg.count(top) - (top == 0)  # vertex n - 1 is not in G yet
+    picks = _picks(_last_conflicts(rows, conflict))
+    counts[0] += len(picks)
+    counts[1] += 1
+    counts[2][mu] = counts[2].get(mu, 0) + weight * len(picks)
     if last < 0:  # n = 0: the one leaf is the empty graph
         for p, _ in tables:
             best[p] = 0
@@ -441,6 +495,7 @@ class SearchStats:
     orbit_representatives: int = 0
     prefix_children: int = 0  # children keyed by canonical form while growing the orbits
     leaves_walked: int = 0
+    visits_scored: int = 0  # graphs on n - 1 vertices whose last vertex has the max degree
     labeled_graphs: int = 0
     ties_relabeled: int = 0
     classes: int = 0
@@ -476,11 +531,12 @@ def search_extremal(
 
     best = {p: -1 for p in ps}
     ties: dict[int, list[tuple[int, ...]]] = {p: [] for p in ps}
-    counts = [0, 0]  # labeled leaves, leaves walked
+    counts = [0, 0, {}]  # leaves walked, visits scored, weighted leaves per mu
     tables = [(p, [d ** p for d in range(n + 1)]) for p in ps]
     _walk_classes(n, partial(_score_picks, tables, best, ties, counts), stats)
     walked = time.perf_counter()
-    visited = counts[0]
+    scale = max(n - 1, 1)
+    visited = sum(_exact_share(scale * leaves, mu) for mu, leaves in counts[2].items())
 
     results: dict[int, SearchResult] = {}
     relabeled = 0
@@ -508,7 +564,8 @@ def search_extremal(
         )
     if stats is not None:
         stats.labeled_graphs += visited
-        stats.leaves_walked += counts[1]
+        stats.leaves_walked += counts[0]
+        stats.visits_scored += counts[1]
         stats.ties_relabeled += relabeled
         stats.classes += sum(len(r.maximizers) for r in results.values())
         stats.merge_dedup_s += time.perf_counter() - walked
@@ -837,6 +894,7 @@ def _sweep_picks(check, totals, dirty, rows, deg, conflict, weight, rep) -> None
         totals[0] += weight
         totals[1] += weight * check(rows, deg, n, found)
 
+    conflict = _last_conflicts(rows, conflict)
     _walk(n, len(conflict), rows, deg, leaf, conflict)  # from vertex n - 1, if any
     if found:
         dirty.add(rep)

@@ -161,7 +161,8 @@ def test_unwritable_out_path_is_a_usage_error(capsys, tmp_path, command):
 
 STATS_KEYS = [
     "labeled_prefixes", "orbit_representatives", "prefix_children", "leaves_walked",
-    "labeled_graphs", "ties_relabeled", "classes", "orbit_grouping_s", "walk_s", "merge_dedup_s",
+    "visits_scored", "labeled_graphs", "ties_relabeled", "classes", "orbit_grouping_s",
+    "walk_s", "merge_dedup_s",
 ]
 
 
@@ -187,6 +188,8 @@ def test_stats_go_to_stderr_and_leave_the_payload_alone(capsys, argv):
     assert stats["orbit_representatives"] <= stats["labeled_prefixes"]
     assert stats["orbit_representatives"] <= stats["prefix_children"]
     assert 0 < stats["leaves_walked"] < stats["labeled_graphs"]
+    # every scored visit walks at least the empty pick of the last vertex
+    assert 0 < stats["visits_scored"] <= stats["leaves_walked"]
 
 
 # ---------------------------------------------------------------------------

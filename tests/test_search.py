@@ -265,23 +265,73 @@ def test_prefix_orbits_are_the_isomorphism_classes():
 
 def test_prefix_orbits_match_canonical_forms_of_the_labeled_prefixes():
     # an oracle that shares no code with the level-by-level growth: every
-    # labeled prefix keyed by its certificate, classes in order of first
-    # appearance in the walk.  The children keyed are the twin-pruned picks,
-    # summed over the levels 1..k
-    children = [0, 1, 3, 9, 29, 111, 412]
+    # labeled prefix keyed by its certificate.  The children keyed are the
+    # twin-pruned picks whose new vertex has the maximum degree, summed over
+    # the levels 1..k
+    children = [0, 1, 3, 7, 18, 49, 150]
     for k in range(0, 7):
-        classes = {}
+        labeled = {}
         for rows in _prefixes(k):
-            classes.setdefault(canonical_form(SmallGraph(k, rows)), [rows, 0])[1] += 1
+            cert = canonical_form(SmallGraph(k, rows))
+            labeled[cert] = labeled.get(cert, 0) + 1
         stats = SearchStats()
-        assert _prefix_orbits(k, stats) == [(rows, size) for rows, size in classes.values()], k
+        orbits = _prefix_orbits(k, stats)
+        grown = {canonical_form(SmallGraph(k, rows)): size for rows, size in orbits}
+        assert len(grown) == len(orbits) and grown == labeled, k
         assert stats.prefix_children == children[k], k
+
+
+def test_prefix_orbits_key_only_children_whose_new_vertex_has_the_max_degree(monkeypatch):
+    canonical_columns = search._canonical_columns
+    keyed = 0
+
+    def checked(rows, j):
+        nonlocal keyed
+        keyed += 1
+        degrees = [row.bit_count() for row in rows]
+        assert degrees[j - 1] == max(degrees), rows
+        return canonical_columns(rows, j)
+
+    monkeypatch.setattr(search, "_canonical_columns", checked)
+    for k in range(0, 8):
+        keyed = 0
+        stats = SearchStats()
+        _prefix_orbits(k, stats)
+        assert keyed == stats.prefix_children, k
+
+
+def test_search_scores_every_class_on_n_minus_1_vertices():
+    # completeness of the visit rule: up to isomorphism, the graphs that
+    # _score_picks scores are the classes on n - 1 vertices, and for each
+    # class the scored weights times (n - 1) / mu add up to its size
+    for n in range(3, 9):
+        counts = [0, 0, {}]
+        tables = [(2, [d * d for d in range(n + 1)])]
+        score = partial(search._score_picks, tables, {2: -1}, {2: []}, counts)
+        scored = {}
+
+        def visit(rows, deg, conflict, weight, rep):
+            before = counts[1]
+            score(rows, deg, conflict, weight, rep)
+            if counts[1] > before:
+                degrees = deg[: n - 1]
+                assert degrees[n - 2] == max(degrees)
+                cert = canonical_form(SmallGraph(n - 1, tuple(rows[: n - 1])))
+                total, mu = scored.get(cert, (0, degrees.count(degrees[n - 2])))
+                scored[cert] = (total + weight, mu)
+
+        search._walk_classes(n, visit)
+        orbits = _prefix_orbits(n - 1)
+        classes = {canonical_form(SmallGraph(n - 1, rows)): size for rows, size in orbits}
+        assert scored.keys() == classes.keys(), n
+        for cert, (total, mu) in scored.items():
+            assert total * (n - 1) == classes[cert] * mu, (n, cert)
 
 
 def test_class_walk_weights_count_the_graphs_on_n_minus_1_vertices():
     # the edge-decision tree is the reference: the weights handed out sum to
-    # its count on n - 1 vertices, and each conflict is the one of the
-    # graph handed over
+    # its count on n - 1 vertices, and each conflict, extended by
+    # _last_conflicts, is the one of the graph handed over
     for n in range(1, 9):
         total = 0
 
@@ -290,7 +340,8 @@ def test_class_walk_weights_count_the_graphs_on_n_minus_1_vertices():
             total += weight
             assert len(rows) == len(deg) == n and rows[n - 1] == 0
             assert deg == [row.bit_count() for row in rows]
-            assert conflict == search._conflicts(rows, n - 1)
+            assert conflict == search._conflicts(rows, max(n - 2, 0))
+            assert search._last_conflicts(rows, conflict) == search._conflicts(rows, n - 1)
             k = len(rep)  # rep is G[0..k-1]
             assert [row & ((1 << k) - 1) for row in rows[:k]] == list(rep)
 
@@ -303,7 +354,7 @@ def test_search_stats_count_the_orbit_walk():
     search_extremal(7, [2], stats=stats)
     assert stats.labeled_prefixes == 806
     assert stats.orbit_representatives == 26
-    assert stats.prefix_children == 111
+    assert stats.prefix_children == 49
     assert stats.labeled_graphs == 316453
     assert 26 <= stats.leaves_walked < 316453
     assert stats.classes == 1 and stats.ties_relabeled >= 1
@@ -311,7 +362,7 @@ def test_search_stats_count_the_orbit_walk():
     # a second call accumulates
     search_extremal(4, [2], stats=stats)
     assert stats.labeled_graphs == 316453 + 64
-    assert stats.prefix_children == 111 + 3
+    assert stats.prefix_children == 49 + 3
 
 
 def test_twin_picks_stand_for_every_pick_class_by_class():
@@ -343,7 +394,8 @@ def test_search_walks_vertex_n_minus_2_through_twin_picks():
     stats = SearchStats()
     found = search_extremal(8, [2], stats=stats)
     assert found[2].visited == stats.labeled_graphs == 9369687
-    assert stats.leaves_walked == 45708  # 87,056 below every pick of vertex 6
+    # 87,056 below every pick of vertex 6, 45,708 below its twin picks
+    assert stats.leaves_walked == 14437
 
 
 def test_subtrees_keep_every_tie_with_the_final_incumbent():
@@ -354,7 +406,7 @@ def test_subtrees_keep_every_tie_with_the_final_incumbent():
             res = ex_p(n, p)
             best, ties = {p: res.value}, {p: []}
             tables = [(p, [d ** p for d in range(n + 1)])]
-            search._walk_classes(n, partial(search._score_picks, tables, best, ties, [0, 0]))
+            search._walk_classes(n, partial(search._score_picks, tables, best, ties, [0, 0, {}]))
             assert best[p] == res.value, (n, p)
             found = {canonical_form(SmallGraph(n, rows)) for rows in ties[p]}
             assert found == {rec.canonical for rec in res.maximizers}, (n, p)
@@ -377,7 +429,7 @@ def test_search_n9_splits_at_seven_prefix_vertices():
             assert value == 2 * 8 ** p + 7 * 2 ** p
     assert stats.labeled_prefixes == 316453  # the C5-free graphs on 7 vertices
     assert stats.orbit_representatives == 251
-    assert stats.prefix_children == 1728
+    assert stats.prefix_children == 536
 
 
 def test_walks_leave_no_reference_cycles():
