@@ -6,7 +6,8 @@ bipartite shape only starts to take over around n = 8.  The asymptotic
 statement is invisible down here, which is exactly the point of printing it.
 
 Usage: python3 demos/small_order_search.py [N_MAX]
-N_MAX defaults to 7; 8 adds about a second of search time.
+N_MAX defaults to 7 and may go up to 11, the search cap; each order up to
+9 takes well under a second.
 """
 
 import sys

@@ -23,17 +23,23 @@ prefixes.  Every later edge touches a vertex >= k, so a permutation of
 {0..k-1} maps the completions of one prefix one-to-one onto the completions
 of its image, keeping e_p, C5-freeness, the isomorphism class and every
 property the sweeps test.  _prefix_orbits grows the orbits one vertex at a
-time and keeps one graph per canonical form, keying only the children whose
-new vertex has the maximum degree (canonical deletion, McKay, "Isomorph-free
-exhaustive generation", J. Algorithms 1998): at n = 9 it keys 536 children
-into the 251 orbits of the 316,453 prefixes on 7 vertices, without listing
-the prefixes.  Both consumers then share one class walk, _walk_classes: it
-takes vertex n - 2 of each representative only through the neighbourhoods
-of _twin_picks and hands each graph on n - 1 vertices to a visitor,
-weighted by the orbit size times the picks it stands for, so `visited`,
-`graphs` and `pairs_checked` stay exact labeled counts.  The search's
-visitor scores the picks of the last vertex, by the same rule only below
-the graphs whose vertex n - 2 has the maximum degree; a sweep's walks them.
+time and keeps one graph per class, making only the children whose new
+vertex has the maximum degree (canonical deletion, McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 1998); that degree rule lives in one
+pick generator, _max_degree_picks.  A child is keyed by a cheap invariant
+first, and by its canonical columns only when another child of its level
+shares that invariant: at n = 9 that labels 278 of the 536 children that
+make the 251 orbits of the 316,453 prefixes on 7 vertices, without listing
+the prefixes.  Each class carries its path ends, grown from its parent's.
+Both consumers then share one class walk, _walk_classes: it takes vertex
+n - 2 of each representative only through twin picks, all of them
+(_twin_picks) for a sweep and those of _max_degree_picks for the search,
+and hands each graph on n - 1 vertices to a visitor, weighted by the
+orbit size times the picks it stands for, so `visited`, `graphs` and
+`pairs_checked` stay exact labeled counts.  The search's visitor starts
+from the e_p of the book graph and of the best K_{b,n-b}, scores the picks
+of the last vertex only for the exponents that may still reach their
+incumbent, and otherwise just counts them; a sweep's walks them.
 Violations name labeled graphs, so a sweep walks the prefixes of a class
 again, in _prefixes order and picked by canonical form, only when its
 representative shows one.  Everything runs in one process.
@@ -62,7 +68,10 @@ from .graphs import (
     to_graph6,
 )
 
-MAX_SEARCH_ORDER = 9
+# search_extremal takes about a second at n = 11; the labeled enumerator takes
+# 13 min at n = 9, and the validator sweeps check every leaf, so they keep 9
+MAX_SEARCH_ORDER = 11
+MAX_LABELED_ORDER = 9
 
 # one predicate, two readings: on an existing edge it finds a 5-cycle through
 # it; on a missing edge it answers whether adding the edge would close one
@@ -95,12 +104,12 @@ def _run_tree(n: int, leaf) -> None:
     rec(0)
 
 
-def _check_search_order(n: int, force: bool) -> None:
+def _check_search_order(n: int, force: bool, cap: int = MAX_LABELED_ORDER) -> None:
     if n < 0:
         raise ValueError(f"order must be non-negative, got {n}")
-    if n > MAX_SEARCH_ORDER and not force:
+    if n > cap and not force:
         raise CapacityError(
-            f"exhaustive search at n={n} exceeds the default cap of {MAX_SEARCH_ORDER}; "
+            f"exhaustive search at n={n} exceeds the default cap of {cap}; "
             "override with force=True (CLI: --force)"
         )
 
@@ -277,23 +286,66 @@ def _prefixes(k: int) -> list[tuple[int, ...]]:
     return found
 
 
+def _twin_weights(smaller: list[int], picks: Iterable[int]) -> list[tuple[int, int]]:
+    """(S, weight) for each pick S, where weight, the product of
+    C(|T|, |S & T|) over the twin classes T given by smaller (see
+    _smaller_twins), counts the picks that S stands for."""
+    # keyed by the smallest member; the largest member's entry, the whole
+    # class, comes last and wins
+    twin_classes = {b & -b: b | 1 << v for v, b in enumerate(smaller) if b}.values()
+    return [
+        (s, math.prod(math.comb(t.bit_count(), (s & t).bit_count()) for t in twin_classes))
+        for s in picks
+    ]
+
+
 def _twin_picks(rows, j: int, conflict: list[int]) -> list[tuple[int, int]]:
     """(S, weight) for the picks S of vertex j (see _picks) that meet each
-    twin class T of G[0..j-1] in its smallest members, where weight, the
-    product of C(|T|, |S & T|), counts the picks that S stands for.
+    twin class T of G[0..j-1] in its smallest members, where weight counts
+    the picks that S stands for (_twin_weights).
 
     Permuting a twin class is an automorphism of G[0..j-1].  It maps the
     picks onto each other, and every graph that extends G[0..j-1] + S onto
     an isomorphic one that extends the image of S, with the same e_p.
     """
     smaller = _smaller_twins(rows, j)
-    # keyed by the smallest member; the largest member's entry, the whole
-    # class, comes last and wins
-    twin_classes = {b & -b: b | 1 << v for v, b in enumerate(smaller) if b}.values()
-    return [
-        (s, math.prod(math.comb(t.bit_count(), (s & t).bit_count()) for t in twin_classes))
-        for s in _picks(conflict, smaller)
-    ]
+    return _twin_weights(smaller, _picks(conflict, smaller))
+
+
+def _max_degree_picks(rows, j: int, conflict: list[int]) -> list[tuple[int, int]]:
+    """The (S, weight) of _twin_picks after which vertex j has the maximum
+    degree in G[0..j]: |S| is at least every degree of G[0..j-1] and above
+    those of S's members, which S raises.  In the same order.
+
+    S is grown as in _picks, and a branch is dropped as soon as the
+    vertices still undecided cannot lift |S| to top, the top degree of
+    G[0..j-1], or to top + 1 once S holds a vertex of degree top.  Only
+    the picks that survive are weighed.  The picks that one twin pick
+    stands for are its images under automorphisms of G[0..j-1], so the
+    degree test passes for all of them or none.
+    """
+    below = (1 << j) - 1
+    degrees = [(rows[i] & below).bit_count() for i in range(j)]
+    top = max(degrees, default=0)
+    tops = sum(1 << i for i, d in enumerate(degrees) if d == top)
+    smaller = _smaller_twins(rows, j)
+    picks = [(0, top)]  # (S, how many more members S needs)
+    for i, ends in enumerate(conflict):
+        bit = 1 << i
+        need = smaller[i]
+        undecided = j - i  # vertices i..j-1
+        grown = []
+        for s, goal in picks:
+            if not ends & s and not need & ~s:
+                # |S| grows by one, and so does the goal when S takes its
+                # first vertex of degree top
+                taken = goal if bit & tops and not s & tops else goal - 1
+                if taken < undecided:
+                    grown.append((s | bit, taken))
+            if goal < undecided:
+                grown.append((s, goal))
+        picks = grown
+    return _twin_weights(smaller, [s for s, goal in picks if goal <= 0])
 
 
 def _exact_share(total: int, parts: int) -> int:
@@ -303,73 +355,97 @@ def _exact_share(total: int, parts: int) -> int:
     return share
 
 
+def _invariant(rows, j: int) -> tuple[tuple[int, int], ...]:
+    """An isomorphism invariant of the graph on vertices 0..j-1 held in
+    rows: its sorted (degree, sum of the neighbours' squared degrees)
+    pairs.  Much cheaper than _canonical_columns, and equal for isomorphic
+    graphs."""
+    degrees = [row.bit_count() for row in rows]
+    squares = [d * d for d in degrees]
+    bit_lists = _bit_lists(j)
+    return tuple(sorted(
+        (d, sum(squares[u] for u in bit_lists[row])) for d, row in zip(degrees, rows)
+    ))
+
+
 def _prefix_orbits(
     k: int, stats: Optional[SearchStats] = None
-) -> list[tuple[tuple[int, ...], int]]:
-    """(representative, orbit size) for each S_k orbit of the C5-free prefixes
-    on vertices 0..k-1, representatives as row tuples.  A representative is
-    some member of its orbit whose last vertex has the maximum degree, not
-    the orbit's first prefix in _prefixes order.
+) -> list[tuple[tuple[int, ...], int, list[int]]]:
+    """(representative, orbit size, path ends) for each S_k orbit of the
+    C5-free prefixes on vertices 0..k-1: representatives as row tuples,
+    path ends as _conflicts(representative, k).  A representative is some
+    member of its orbit whose last vertex has the maximum degree, not the
+    orbit's first prefix in _prefixes order.
 
     The orbits are grown one vertex at a time, by canonical deletion of a
     maximum-degree vertex (McKay 1998).  Level j extends each representative
-    D on j-1 vertices by the picks S of vertex j-1 and keys a child by its
-    canonical columns only when its new vertex j-1 has the maximum degree;
-    the first child with a new key represents its class C.  Every class is
-    reached: relabel a member of C so that j-1 has the maximum degree;
-    deleting j-1 leaves a graph in some orbit D, and moving that graph onto
-    D's representative while fixing j-1 gives a pick of D whose child lies
-    in C with j-1 at the max degree.
+    D on j-1 vertices by the picks S of vertex j-1 in _max_degree_picks,
+    those after which its new vertex j-1 has the maximum degree; the first
+    such child of a class C represents it, and its path ends are
+    _conflicts_after applied to D's.  Every class is reached: relabel a
+    member of C so that j-1 has the maximum degree; deleting j-1 leaves a
+    graph in some orbit D, and moving that graph onto D's representative
+    while fixing j-1 gives a pick of D whose child lies in C with j-1 at
+    the max degree.
+
+    Children are keyed invariant first.  Isomorphic children share their
+    _invariant, so a child whose invariant no other child of its level has
+    is a class of its own; only the children that share one are told apart
+    by _canonical_columns.  Classes keep the order of their first children.
 
     Sizes need no automorphism group.  A permutation of D's vertices that
     fixes j-1 maps D's picks onto those of any relabeling of D, class by
-    class, so sigma, the sum over D of |orbit of D| * (keyed picks of D
-    that land in C), counts the labeled members of C whose vertex j-1 has
-    the maximum degree.  By symmetry that is |C| * mu / j, with mu the
-    number of max-degree vertices of C, so |C| = j * sigma / mu, an exact
-    division.
-
-    Only the picks of _twin_picks are keyed, each standing for `weight`
-    picks.  Those picks are images of each other under automorphisms of D
-    that fix j-1, so the degree test passes for all of them or none.
+    class, so sigma, the sum over D of |orbit of D| * (weights of D's
+    picks that land in C), counts the labeled members of C whose vertex
+    j-1 has the maximum degree.  By symmetry that is |C| * mu / j, with mu
+    the number of max-degree vertices of C, so |C| = j * sigma / mu, an
+    exact division.
     """
-    orbits = [((), 1)]
+    orbits = [((), 1, [])]
     for j in range(1, k + 1):
         last = j - 1
         last_bit = 1 << last
-        classes: dict[tuple[int, ...], list] = {}
-        for rep, size in orbits:
+        children = []  # (child, labeled members it counts, parent's path ends, invariant)
+        shared: dict[tuple, int] = {}  # invariant -> children that have it
+        for rep, size, conflict in orbits:
             rows = [*rep, 0]
-            # the new vertex has the max degree when |S| is at least every
-            # old degree and above those of its members, which S raises
-            degrees = [row.bit_count() for row in rep]
-            top = max(degrees, default=0)
-            tops = sum(1 << i for i, d in enumerate(degrees) if d == top)
-            for s, weight in _twin_picks(rows, last, _conflicts(rows, last)):
-                d = s.bit_count()
-                if d < top or d == top and s & tops:
-                    continue
-                if stats is not None:
-                    stats.prefix_children += 1
+            for s, weight in _max_degree_picks(rows, last, conflict):
                 child = rows.copy()
                 for i in _bit_lists(last)[s]:
                     child[i] |= last_bit
                 child[last] = s
-                key = _canonical_columns(child, j)
-                classes.setdefault(key, [tuple(child), 0])[1] += size * weight
+                invariant = _invariant(child, j)
+                shared[invariant] = shared.get(invariant, 0) + 1
+                children.append((tuple(child), size * weight, conflict, invariant))
+        classes: dict[tuple, list] = {}
+        keyed = 0
+        for child, count, conflict, invariant in children:
+            if shared[invariant] > 1:
+                keyed += 1
+                key = (invariant, _canonical_columns(child, j))
+            else:
+                key = (invariant, None)
+            classes.setdefault(key, [child, 0, conflict])[1] += count
+        if stats is not None:
+            stats.prefix_children += len(children)
+            stats.canonical_keyings += keyed
         orbits = []
-        for child, sigma in classes.values():
+        for child, sigma, conflict in classes.values():
             degrees = [row.bit_count() for row in child]
-            orbits.append((child, _exact_share(j * sigma, degrees.count(degrees[last]))))
+            mu = degrees.count(degrees[last])
+            orbits.append((child, _exact_share(j * sigma, mu), _conflicts_after(child, last, conflict)))
     return orbits
 
 
-def _walk_classes(n: int, visit, stats: Optional[SearchStats] = None) -> None:
+def _walk_classes(
+    n: int, visit, stats: Optional[SearchStats] = None, picks=_twin_picks
+) -> None:
     """Call visit(rows, deg, conflict, weight, rep) once for each graph G on
     the first n - 1 vertices that the search and the sweeps complete: for
     each representative rep of _prefix_orbits on k = n - 2 vertices and
-    each pick S of vertex k in _twin_picks.  Below n = 2 there is no vertex
-    n - 2, and rep itself is G.
+    each pick S of vertex k in picks(rows, k, conflict), _twin_picks for
+    the sweeps and _max_degree_picks for the search.  Below n = 2 there is
+    no vertex n - 2, and rep itself is G.
 
     rows and deg hold G padded to n vertices, conflict is _conflicts(rows,
     k), the path ends of rep, which _last_conflicts extends to those of G
@@ -383,14 +459,13 @@ def _walk_classes(n: int, visit, stats: Optional[SearchStats] = None) -> None:
     orbits = _prefix_orbits(k, stats)
     grouped = time.perf_counter()
     k_bit = 1 << k
-    for rep, size in orbits:
+    for rep, size, conflict in orbits:
         rows = [*rep] + [0] * (n - k)
         deg = [row.bit_count() for row in rows]
         if n < 2:
-            visit(rows, deg, [], size, rep)
+            visit(rows, deg, conflict, size, rep)
             continue
-        conflict = _conflicts(rows, k)
-        for s, weight in _twin_picks(rows, k, conflict):
+        for s, weight in picks(rows, k, conflict):
             members = _bit_lists(k)[s]
             for i in members:
                 rows[i] |= k_bit
@@ -404,7 +479,7 @@ def _walk_classes(n: int, visit, stats: Optional[SearchStats] = None) -> None:
     if stats is not None:
         stats.walk_s += time.perf_counter() - grouped
         stats.orbit_grouping_s += grouped - start
-        stats.labeled_prefixes += sum(size for _, size in orbits)
+        stats.labeled_prefixes += sum(size for _, size, _ in orbits)
         stats.orbit_representatives += len(orbits)
 
 
@@ -416,17 +491,50 @@ def _last_conflicts(rows, conflict: list[int]) -> list[int]:
     return _conflicts_after(rows, k, conflict) if k >= 0 else conflict
 
 
-def _score_picks(tables, best, ties, counts, rows, deg, conflict, weight, rep) -> None:
-    """The search's visitor for _walk_classes.  tables holds (p, [d**p for
-    d = 0..n]) per exponent; best[p] and ties[p], shared by all visits, hold
-    the highest e_p so far and the leaves that reach it; counts holds the
-    leaves walked, the visits scored and, per mu below, the weighted leaves.
+def _count_picks(conflict: list[int]) -> int:
+    """len(_picks(conflict)) without listing the picks: the independent
+    sets of the graph on {0..len(conflict)-1} whose edges are the
+    conflicts."""
+    return _independent_sets(conflict, (1 << len(conflict)) - 1)
 
-    A visit G on n - 1 vertices is scored only when its vertex n - 2 has
-    the maximum degree, the rule of _prefix_orbits one level up.  Every
-    class C on n - 1 vertices is still scored, so every leaf class is still
+
+def _independent_sets(conflict: list[int], free: int) -> int:
+    """The subsets of free with no two members in conflict.  A member in
+    conflict with no other member doubles the count.  When the rest pair
+    off, each pair is taken in 3 ways; otherwise branch on the member with
+    the most conflicts: without it, or with it and none of its partners."""
+    lone = 0
+    most = branch = 0
+    rest = free
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        partners = (conflict[bit.bit_length() - 1] & free).bit_count()
+        if not partners:
+            lone += 1
+            free ^= bit
+        elif partners > most:
+            most, branch = partners, bit
+    if most < 2:
+        return 3 ** (free.bit_count() >> 1) << lone
+    free ^= branch
+    without = _independent_sets(conflict, free)
+    joined = _independent_sets(conflict, free & ~conflict[branch.bit_length() - 1])
+    return (without + joined) << lone
+
+
+def _score_picks(tables, best, ties, counts, rows, deg, conflict, weight, rep) -> None:
+    """The search's visitor for _walk_classes, which hands it the graphs G
+    on n - 1 vertices whose vertex n - 2 has the maximum degree
+    (_max_degree_picks).  tables holds (p, [d**p for d = 0..n]) per
+    exponent; best[p] and ties[p], shared by all visits, hold the highest
+    e_p so far and the leaves that reach it; counts holds the leaves walked,
+    the visits scored, the visits whose leaves were only counted and, per
+    mu below, the weighted leaves.
+
+    Every class C on n - 1 vertices is scored, so every leaf class is
     reached: a leaf less its last vertex lies in some C.  By the argument
-    of _prefix_orbits, the weights of C's scored visits add up to
+    of _prefix_orbits, the weights of C's visits add up to
     |C| * mu / (n - 1), with mu the number of max-degree vertices of C, and
     every member of C has as many picks as G.  So `visited` is the sum over
     mu of (n - 1) / mu times the weighted leaves of the visits with that
@@ -436,19 +544,32 @@ def _score_picks(tables, best, ties, counts, rows, deg, conflict, weight, rep) -
     and its e_p is that of G - v, plus |S|^p, plus (d+1)^p - d^p for each
     member of S of degree d in G - v.  Joining v to every other vertex
     would score at least as much, so an exponent whose best so far is
-    higher skips the scoring; a tie is still scored.
+    higher skips the visit; a tie is still scored.  When every exponent
+    skips it, the leaves are counted (_count_picks), not listed.
     """
     last = len(rows) - 1
     mu = 1
     if last > 0:
         top = max(deg)
-        if deg[last - 1] != top:
-            return
         mu = deg.count(top) - (top == 0)  # vertex n - 1 is not in G yet
-    picks = _picks(_last_conflicts(rows, conflict))
-    counts[0] += len(picks)
+    conflict = _last_conflicts(rows, conflict)
+    live = []
+    for p, table in tables:
+        base = joined = 0
+        for d in deg:
+            base += table[d]
+            joined += table[d + 1]
+        if last < 0 or joined + table[last] >= best[p]:
+            live.append((p, table, base))
+    if live:
+        picks = _picks(conflict)
+        leaves = len(picks)
+    else:
+        leaves = _count_picks(conflict)
+        counts[2] += 1
+    counts[0] += leaves
     counts[1] += 1
-    counts[2][mu] = counts[2].get(mu, 0) + weight * len(picks)
+    counts[3][mu] = counts[3].get(mu, 0) + weight * leaves
     if last < 0:  # n = 0: the one leaf is the empty graph
         for p, _ in tables:
             best[p] = 0
@@ -456,14 +577,8 @@ def _score_picks(tables, best, ties, counts, rows, deg, conflict, weight, rep) -
         return
     last_bit = 1 << last
     bit_lists = _bit_lists(last)
-    for p, table in tables:
-        base = joined = 0
-        for d in deg:
-            base += table[d]
-            joined += table[d + 1]
+    for p, table, base in live:
         top = best[p]
-        if joined + table[last] < top:
-            continue
         gain = [table[d + 1] - table[d] for d in deg]
         for s in picks:
             members = bit_lists[s]
@@ -483,6 +598,15 @@ def _score_picks(tables, best, ties, counts, rows, deg, conflict, weight, rep) -
         best[p] = top
 
 
+def _seed(n: int, table: list[int]) -> int:
+    """The higher e_p of the book graph K2 + empty(n - 2) and of the best
+    complete bipartite K_{b,n-b}, given table = [d**p for d = 0..n].  Both
+    are C5-free, so ex_p(n, C5) is at least this."""
+    split = max(b * table[n - b] + (n - b) * table[b] for b in range(n // 2 + 1))
+    book = 2 * table[n - 1] + (n - 2) * table[2] if n >= 2 else 0
+    return max(book, split)
+
+
 @dataclass(slots=True)
 class SearchStats:
     """What search_extremal did, summed over the calls it is handed to.
@@ -493,9 +617,11 @@ class SearchStats:
 
     labeled_prefixes: int = 0
     orbit_representatives: int = 0
-    prefix_children: int = 0  # children keyed by canonical form while growing the orbits
+    prefix_children: int = 0  # children whose new vertex has the max degree, keyed by invariant
+    canonical_keyings: int = 0  # of those, the ones that shared it and needed canonical columns
     leaves_walked: int = 0
     visits_scored: int = 0  # graphs on n - 1 vertices whose last vertex has the max degree
+    visits_counted: int = 0  # of those, the ones whose leaves were counted, not listed
     labeled_graphs: int = 0
     ties_relabeled: int = 0
     classes: int = 0
@@ -521,7 +647,7 @@ def search_extremal(
 
     stats, when given, accumulates counters and phase times.
     """
-    _check_search_order(n, force)
+    _check_search_order(n, force, MAX_SEARCH_ORDER)
     ps = list(dict.fromkeys(ps))
     if not ps:
         raise ValueError("need at least one exponent p")
@@ -529,14 +655,15 @@ def search_extremal(
         if p < 1:
             raise ValueError(f"exponent p must be >= 1, got {p}")
 
-    best = {p: -1 for p in ps}
-    ties: dict[int, list[tuple[int, ...]]] = {p: [] for p in ps}
-    counts = [0, 0, {}]  # leaves walked, visits scored, weighted leaves per mu
     tables = [(p, [d ** p for d in range(n + 1)]) for p in ps]
-    _walk_classes(n, partial(_score_picks, tables, best, ties, counts), stats)
+    # the seeds are reached by some leaf, and >= keeps every leaf that ties
+    best = {p: _seed(n, table) for p, table in tables}
+    ties: dict[int, list[tuple[int, ...]]] = {p: [] for p in ps}
+    counts = [0, 0, 0, {}]  # leaves walked, visits scored, visits counted, weighted leaves per mu
+    _walk_classes(n, partial(_score_picks, tables, best, ties, counts), stats, _max_degree_picks)
     walked = time.perf_counter()
     scale = max(n - 1, 1)
-    visited = sum(_exact_share(scale * leaves, mu) for mu, leaves in counts[2].items())
+    visited = sum(_exact_share(scale * leaves, mu) for mu, leaves in counts[3].items())
 
     results: dict[int, SearchResult] = {}
     relabeled = 0
@@ -566,6 +693,7 @@ def search_extremal(
         stats.labeled_graphs += visited
         stats.leaves_walked += counts[0]
         stats.visits_scored += counts[1]
+        stats.visits_counted += counts[2]
         stats.ties_relabeled += relabeled
         stats.classes += sum(len(r.maximizers) for r in results.values())
         stats.merge_dedup_s += time.perf_counter() - walked

@@ -160,17 +160,17 @@ def test_unwritable_out_path_is_a_usage_error(capsys, tmp_path, command):
 
 
 STATS_KEYS = [
-    "labeled_prefixes", "orbit_representatives", "prefix_children", "leaves_walked",
-    "visits_scored", "labeled_graphs", "ties_relabeled", "classes", "orbit_grouping_s",
-    "walk_s", "merge_dedup_s",
+    "labeled_prefixes", "orbit_representatives", "prefix_children", "canonical_keyings",
+    "leaves_walked", "visits_scored", "visits_counted", "labeled_graphs", "ties_relabeled",
+    "classes", "orbit_grouping_s", "walk_s", "merge_dedup_s",
 ]
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ("search", "--n", "7", "--p", "2", "--workers", "2"),
-        ("sweep", "--n-min", "4", "--n-max", "6", "--p", "1", "2"),
+        ("search", "--n", "8", "--p", "2", "--workers", "2"),
+        ("sweep", "--n-min", "4", "--n-max", "8", "--p", "1", "2"),
     ],
 )
 def test_stats_go_to_stderr_and_leave_the_payload_alone(capsys, argv):
@@ -190,6 +190,9 @@ def test_stats_go_to_stderr_and_leave_the_payload_alone(capsys, argv):
     assert 0 < stats["leaves_walked"] < stats["labeled_graphs"]
     # every scored visit walks at least the empty pick of the last vertex
     assert 0 < stats["visits_scored"] <= stats["leaves_walked"]
+    # keyed by invariant first, only the children that share one are labeled
+    assert 0 < stats["canonical_keyings"] < stats["prefix_children"]
+    assert stats["visits_counted"] <= stats["visits_scored"]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,14 @@ import networkx as nx
 import pytest
 
 from degpow import search
-from degpow.constructions import GPrime, GStar, bipartite_completion, build
+from degpow.constructions import (
+    CompleteBipartite,
+    GPrime,
+    GStar,
+    JoinCliqueEmpty,
+    bipartite_completion,
+    build,
+)
 from degpow.graphs import (
     CapacityError,
     SmallGraph,
@@ -18,6 +25,7 @@ from degpow.graphs import (
     canonical_relabel,
     contains_cycle,
     degree_sequence,
+    degree_power_sum,
     from_edges,
     from_graph6,
     naive_contains_cycle,
@@ -260,14 +268,14 @@ def test_prefix_orbits_are_the_isomorphism_classes():
         orbits = _prefix_orbits(k)
         prefixes = _prefixes(k)
         assert len(orbits) == classes == _atlas_c5_free_classes(k)
-        assert sum(size for _, size in orbits) == len(prefixes) == labeled
+        assert sum(size for _, size, _ in orbits) == len(prefixes) == labeled
 
 
 def test_prefix_orbits_match_canonical_forms_of_the_labeled_prefixes():
     # an oracle that shares no code with the level-by-level growth: every
-    # labeled prefix keyed by its certificate.  The children keyed are the
+    # labeled prefix keyed by its certificate.  The children are the
     # twin-pruned picks whose new vertex has the maximum degree, summed over
-    # the levels 1..k
+    # the levels 1..k; each class carries the path ends of its representative
     children = [0, 1, 3, 7, 18, 49, 150]
     for k in range(0, 7):
         labeled = {}
@@ -276,9 +284,11 @@ def test_prefix_orbits_match_canonical_forms_of_the_labeled_prefixes():
             labeled[cert] = labeled.get(cert, 0) + 1
         stats = SearchStats()
         orbits = _prefix_orbits(k, stats)
-        grown = {canonical_form(SmallGraph(k, rows)): size for rows, size in orbits}
+        grown = {canonical_form(SmallGraph(k, rows)): size for rows, size, _ in orbits}
         assert len(grown) == len(orbits) and grown == labeled, k
         assert stats.prefix_children == children[k], k
+        for rows, _, conflict in orbits:
+            assert conflict == search._conflicts(rows, k), rows
 
 
 def test_prefix_orbits_key_only_children_whose_new_vertex_has_the_max_degree(monkeypatch):
@@ -297,15 +307,17 @@ def test_prefix_orbits_key_only_children_whose_new_vertex_has_the_max_degree(mon
         keyed = 0
         stats = SearchStats()
         _prefix_orbits(k, stats)
-        assert keyed == stats.prefix_children, k
+        assert keyed == stats.canonical_keyings, k
+        assert keyed < stats.prefix_children or k < 2, k
 
 
 def test_search_scores_every_class_on_n_minus_1_vertices():
     # completeness of the visit rule: up to isomorphism, the graphs that
-    # _score_picks scores are the classes on n - 1 vertices, and for each
-    # class the scored weights times (n - 1) / mu add up to its size
+    # the search's class walk hands _score_picks are the classes on n - 1
+    # vertices, and for each class their weights times (n - 1) / mu add up
+    # to its size
     for n in range(3, 9):
-        counts = [0, 0, {}]
+        counts = [0, 0, 0, {}]
         tables = [(2, [d * d for d in range(n + 1)])]
         score = partial(search._score_picks, tables, {2: -1}, {2: []}, counts)
         scored = {}
@@ -313,16 +325,16 @@ def test_search_scores_every_class_on_n_minus_1_vertices():
         def visit(rows, deg, conflict, weight, rep):
             before = counts[1]
             score(rows, deg, conflict, weight, rep)
-            if counts[1] > before:
-                degrees = deg[: n - 1]
-                assert degrees[n - 2] == max(degrees)
-                cert = canonical_form(SmallGraph(n - 1, tuple(rows[: n - 1])))
-                total, mu = scored.get(cert, (0, degrees.count(degrees[n - 2])))
-                scored[cert] = (total + weight, mu)
+            assert counts[1] == before + 1
+            degrees = deg[: n - 1]
+            assert degrees[n - 2] == max(degrees)
+            cert = canonical_form(SmallGraph(n - 1, tuple(rows[: n - 1])))
+            total, mu = scored.get(cert, (0, degrees.count(degrees[n - 2])))
+            scored[cert] = (total + weight, mu)
 
-        search._walk_classes(n, visit)
+        search._walk_classes(n, visit, None, search._max_degree_picks)
         orbits = _prefix_orbits(n - 1)
-        classes = {canonical_form(SmallGraph(n - 1, rows)): size for rows, size in orbits}
+        classes = {canonical_form(SmallGraph(n - 1, rows)): size for rows, size, _ in orbits}
         assert scored.keys() == classes.keys(), n
         for cert, (total, mu) in scored.items():
             assert total * (n - 1) == classes[cert] * mu, (n, cert)
@@ -355,6 +367,7 @@ def test_search_stats_count_the_orbit_walk():
     assert stats.labeled_prefixes == 806
     assert stats.orbit_representatives == 26
     assert stats.prefix_children == 49
+    assert stats.canonical_keyings == 9
     assert stats.labeled_graphs == 316453
     assert 26 <= stats.leaves_walked < 316453
     assert stats.classes == 1 and stats.ties_relabeled >= 1
@@ -390,6 +403,50 @@ def test_twin_picks_stand_for_every_pick_class_by_class():
         search._walk(n, 0, [0] * n, [0] * n, leaf, [])
 
 
+def test_max_degree_picks_are_the_twin_picks_that_top_the_degrees():
+    # the reference is the rule applied after the fact: every twin pick,
+    # kept when the new vertex ends with the maximum degree, in the same order
+    for n in range(0, 6):
+
+        def leaf(rows, deg):
+            conflict = search._conflicts(rows, n)
+            expected = [
+                (s, weight)
+                for s, weight in search._twin_picks(rows, n, conflict)
+                if s.bit_count() >= max((d + (s >> i & 1) for i, d in enumerate(deg)), default=0)
+            ]
+            assert search._max_degree_picks(rows, n, conflict) == expected, rows
+
+        search._walk(n, 0, [0] * n, [0] * n, leaf, [])
+
+
+def test_pick_count_matches_the_listed_picks():
+    for n in range(0, 9):
+
+        def visit(rows, deg, conflict, weight, rep):
+            conflict = search._last_conflicts(rows, conflict)
+            assert search._count_picks(conflict) == len(search._picks(conflict)), rows
+
+        search._walk_classes(n, visit)
+
+
+def test_search_seeds_are_c5_free_constructions_below_ex_p():
+    # the incumbent starts at the book graph K2 + empty(n - 2) or the best
+    # K_{b,n-b}; a seed above ex_p would hide the true maximizers
+    for n in range(0, 10):
+        found = search_extremal(n, range(1, 9))
+        graphs = [build(CompleteBipartite(b, n - b)) for b in range(1, n // 2 + 1)]
+        if n >= 2:
+            graphs.append(build(JoinCliqueEmpty(2, n - 2)))
+        for g in graphs:
+            assert not contains_cycle(g, 5), to_graph6(g)
+        for p in range(1, 9):
+            seed = search._seed(n, [d ** p for d in range(n + 1)])
+            values = [degree_power_sum(degree_sequence(g), p) for g in graphs]
+            assert seed == max(values, default=0), (n, p)
+            assert seed <= found[p].value, (n, p)
+
+
 def test_search_walks_vertex_n_minus_2_through_twin_picks():
     stats = SearchStats()
     found = search_extremal(8, [2], stats=stats)
@@ -406,7 +463,8 @@ def test_subtrees_keep_every_tie_with_the_final_incumbent():
             res = ex_p(n, p)
             best, ties = {p: res.value}, {p: []}
             tables = [(p, [d ** p for d in range(n + 1)])]
-            search._walk_classes(n, partial(search._score_picks, tables, best, ties, [0, 0, {}]))
+            score = partial(search._score_picks, tables, best, ties, [0, 0, 0, {}])
+            search._walk_classes(n, score, None, search._max_degree_picks)
             assert best[p] == res.value, (n, p)
             found = {canonical_form(SmallGraph(n, rows)) for rows in ties[p]}
             assert found == {rec.canonical for rec in res.maximizers}, (n, p)
@@ -430,6 +488,23 @@ def test_search_n9_splits_at_seven_prefix_vertices():
     assert stats.labeled_prefixes == 316453  # the C5-free graphs on 7 vertices
     assert stats.orbit_representatives == 251
     assert stats.prefix_children == 536
+    assert stats.canonical_keyings == 278
+
+
+def test_search_n10_row():
+    # K_{5,5} wins for p <= 2 and the book graph from p = 3 on
+    found = search_extremal(10, range(1, 9), force=True)
+    book = canonical_form(build(JoinCliqueEmpty(2, 8)))
+    for p in range(1, 9):
+        res = found[p]
+        [rec] = res.maximizers
+        assert res.visited == 18414750022, p
+        if p <= 2:
+            assert res.value == [50, 250][p - 1], p
+            assert rec.biclique == (5, 5), p
+        else:
+            assert res.value == 2 * 9 ** p + 8 * 2 ** p, p
+            assert rec.canonical == book, p
 
 
 def test_walks_leave_no_reference_cycles():
