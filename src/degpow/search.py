@@ -31,18 +31,20 @@ first, and by its canonical columns only when another child of its level
 shares that invariant: at n = 9 that labels 278 of the 536 children that
 make the 251 orbits of the 316,453 prefixes on 7 vertices, without listing
 the prefixes.  Each class carries its path ends, grown from its parent's.
-Both consumers then share one class walk, _walk_classes: it takes vertex
-n - 2 of each representative only through twin picks, all of them
-(_twin_picks) for a sweep and those of _max_degree_picks for the search,
-and hands each graph on n - 1 vertices to a visitor, weighted by the
-orbit size times the picks it stands for, so `visited`, `graphs` and
-`pairs_checked` stay exact labeled counts.  The search's visitor starts
-from the e_p of the book graph and of the best K_{b,n-b}, scores the picks
-of the last vertex only for the exponents that may still reach their
-incumbent, and otherwise just counts them; a sweep's walks them.
-Violations name labeled graphs, so a sweep walks the prefixes of a class
-again, in _prefixes order and picked by canonical form, only when its
-representative shows one.  Everything runs in one process.
+Both consumers then loop over one class walk, the generator _walk_classes:
+it joins vertex n - 2 to each representative by the step that grows the
+classes, _children, through twin picks only, all of them (_twin_picks)
+for a sweep and those of _max_degree_picks for the search, and yields
+each graph on n - 1 vertices with its path ends, weighted by the orbit
+size times the picks it stands for, so `visited`, `graphs` and
+`pairs_checked` stay exact labeled counts.  The search starts from the
+e_p of the book graph and of the best K_{b,n-b}, as the constructions
+give them, scores the picks of the last vertex only for the exponents
+that may still reach their incumbent, and otherwise just counts them; a
+sweep walks them.  Violations name labeled graphs, so a sweep walks the
+prefixes of a class again, in _prefixes order and picked by canonical
+form, only when its representative shows one.  Everything runs in one
+process.
 """
 
 from __future__ import annotations
@@ -51,9 +53,11 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from typing import Callable, Iterable, Optional, Sequence
 
+from .asymptotics import best_biclique_split
+from .constructions import JoinCliqueEmpty, degree_profile
 from .graphs import (
     CapacityError,
     SmallGraph,
@@ -368,6 +372,22 @@ def _invariant(rows, j: int) -> tuple[tuple[int, int], ...]:
     ))
 
 
+def _children(orbits, j: int, picks):
+    """(rep, child, count, conflict) for each (rep, size, conflict) in
+    orbits, a representative on vertices 0..j-1 with its path ends
+    _conflicts(rep, j), and each (S, weight) in picks(rep, j, conflict):
+    child is a new row list, rep with vertex j joined to S, and count =
+    size * weight the labeled graphs it stands for."""
+    members = _bit_lists(j)
+    j_bit = 1 << j
+    for rep, size, conflict in orbits:
+        for s, weight in picks(rep, j, conflict):
+            child = [*rep, s]
+            for i in members[s]:
+                child[i] |= j_bit
+            yield rep, child, size * weight, conflict
+
+
 def _prefix_orbits(
     k: int, stats: Optional[SearchStats] = None
 ) -> list[tuple[tuple[int, ...], int, list[int]]]:
@@ -378,15 +398,15 @@ def _prefix_orbits(
     orbit's first prefix in _prefixes order.
 
     The orbits are grown one vertex at a time, by canonical deletion of a
-    maximum-degree vertex (McKay 1998).  Level j extends each representative
-    D on j-1 vertices by the picks S of vertex j-1 in _max_degree_picks,
-    those after which its new vertex j-1 has the maximum degree; the first
-    such child of a class C represents it, and its path ends are
-    _conflicts_after applied to D's.  Every class is reached: relabel a
-    member of C so that j-1 has the maximum degree; deleting j-1 leaves a
-    graph in some orbit D, and moving that graph onto D's representative
-    while fixing j-1 gives a pick of D whose child lies in C with j-1 at
-    the max degree.
+    maximum-degree vertex (McKay 1998).  Level j makes the _children at
+    vertex j-1 of each representative D on j-1 vertices through
+    _max_degree_picks, those after which the new vertex j-1 has the
+    maximum degree; the first such child of a class C represents it, and
+    its path ends are _conflicts_after applied to D's.  Every class is
+    reached: relabel a member of C so that j-1 has the maximum degree;
+    deleting j-1 leaves a graph in some orbit D, and moving that graph onto
+    D's representative while fixing j-1 gives a pick of D whose child lies
+    in C with j-1 at the max degree.
 
     Children are keyed invariant first.  Isomorphic children share their
     _invariant, so a child whose invariant no other child of its level has
@@ -404,19 +424,12 @@ def _prefix_orbits(
     orbits = [((), 1, [])]
     for j in range(1, k + 1):
         last = j - 1
-        last_bit = 1 << last
         children = []  # (child, labeled members it counts, parent's path ends, invariant)
         shared: dict[tuple, int] = {}  # invariant -> children that have it
-        for rep, size, conflict in orbits:
-            rows = [*rep, 0]
-            for s, weight in _max_degree_picks(rows, last, conflict):
-                child = rows.copy()
-                for i in _bit_lists(last)[s]:
-                    child[i] |= last_bit
-                child[last] = s
-                invariant = _invariant(child, j)
-                shared[invariant] = shared.get(invariant, 0) + 1
-                children.append((tuple(child), size * weight, conflict, invariant))
+        for _, child, count, conflict in _children(orbits, last, _max_degree_picks):
+            invariant = _invariant(child, j)
+            shared[invariant] = shared.get(invariant, 0) + 1
+            children.append((tuple(child), count, conflict, invariant))
         classes: dict[tuple, list] = {}
         keyed = 0
         for child, count, conflict, invariant in children:
@@ -437,58 +450,37 @@ def _prefix_orbits(
     return orbits
 
 
-def _walk_classes(
-    n: int, visit, stats: Optional[SearchStats] = None, picks=_twin_picks
-) -> None:
-    """Call visit(rows, deg, conflict, weight, rep) once for each graph G on
-    the first n - 1 vertices that the search and the sweeps complete: for
-    each representative rep of _prefix_orbits on k = n - 2 vertices and
-    each pick S of vertex k in picks(rows, k, conflict), _twin_picks for
-    the sweeps and _max_degree_picks for the search.  Below n = 2 there is
-    no vertex n - 2, and rep itself is G.
+def _walk_classes(n: int, picks, stats: Optional[SearchStats] = None):
+    """Yield (rep, rows, deg, conflict, weight) once for each graph G on the
+    first n - 1 vertices that the search and the sweeps complete: the
+    _children at vertex k = n - 2 of the representatives rep of
+    _prefix_orbits(k) through picks, _twin_picks for the sweeps and
+    _max_degree_picks for the search.  Below n = 2 there is no vertex
+    n - 2, and rep itself is G.
 
-    rows and deg hold G padded to n vertices, conflict is _conflicts(rows,
-    k), the path ends of rep, which _last_conflicts extends to those of G
-    when a visitor needs them, and weight, the orbit size times the twin
+    rows and deg are new lists that hold G padded to n vertices, conflict
+    is _conflicts(rows, n - 1), and weight, the orbit size times the twin
     weight of S, counts the labeled graphs on n - 1 vertices that G stands
-    for: each of them is a visited G relabeled on {0..k-1} and within the
-    twin classes of rep.  visit must leave rows and deg as it found them.
+    for: each of them is a yielded G relabeled on {0..k-1} and within the
+    twin classes of rep.  stats gets the phase times once the walk ends.
     """
     start = time.perf_counter()
     k = max(n - 2, 0)
     orbits = _prefix_orbits(k, stats)
     grouped = time.perf_counter()
-    k_bit = 1 << k
-    for rep, size, conflict in orbits:
-        rows = [*rep] + [0] * (n - k)
-        deg = [row.bit_count() for row in rows]
-        if n < 2:
-            visit(rows, deg, conflict, size, rep)
-            continue
-        for s, weight in picks(rows, k, conflict):
-            members = _bit_lists(k)[s]
-            for i in members:
-                rows[i] |= k_bit
-                deg[i] += 1
-            rows[k] = s
-            deg[k] = len(members)
-            visit(rows, deg, conflict, size * weight, rep)
-            for i in members:
-                rows[i] ^= k_bit
-                deg[i] -= 1
+    if n < 2:
+        for rep, size, conflict in orbits:
+            yield rep, [0] * n, [0] * n, conflict, size
+    else:
+        for rep, rows, weight, conflict in _children(orbits, k, picks):
+            rows.append(0)  # vertex n - 1, not joined yet
+            deg = [row.bit_count() for row in rows]
+            yield rep, rows, deg, _conflicts_after(rows, k, conflict), weight
     if stats is not None:
         stats.walk_s += time.perf_counter() - grouped
         stats.orbit_grouping_s += grouped - start
         stats.labeled_prefixes += sum(size for _, size, _ in orbits)
         stats.orbit_representatives += len(orbits)
-
-
-def _last_conflicts(rows, conflict: list[int]) -> list[int]:
-    """_conflicts(rows, n - 1) for a visit of _walk_classes, given its
-    conflict = _conflicts(rows, n - 2): vertex n - 2 joins.  Below n = 2
-    there is no vertex n - 2, and conflict is already the answer."""
-    k = len(rows) - 2
-    return _conflicts_after(rows, k, conflict) if k >= 0 else conflict
 
 
 def _count_picks(conflict: list[int]) -> int:
@@ -523,58 +515,38 @@ def _independent_sets(conflict: list[int], free: int) -> int:
     return (without + joined) << lone
 
 
-def _score_picks(tables, best, ties, counts, rows, deg, conflict, weight, rep) -> None:
-    """The search's visitor for _walk_classes, which hands it the graphs G
-    on n - 1 vertices whose vertex n - 2 has the maximum degree
-    (_max_degree_picks).  tables holds (p, [d**p for d = 0..n]) per
+def _score_picks(tables, best, ties, rows, deg, conflict) -> tuple[int, bool]:
+    """Score the leaves below a graph G on n - 1 vertices from the search's
+    class walk, held in rows and deg padded to n vertices, with path ends
+    conflict.  Returns (leaves, counted), counted when the leaves were only
+    counted, not listed.  tables holds (p, [d**p for d = 0..n]) per
     exponent; best[p] and ties[p], shared by all visits, hold the highest
-    e_p so far and the leaves that reach it; counts holds the leaves walked,
-    the visits scored, the visits whose leaves were only counted and, per
-    mu below, the weighted leaves.
-
-    Every class C on n - 1 vertices is scored, so every leaf class is
-    reached: a leaf less its last vertex lies in some C.  By the argument
-    of _prefix_orbits, the weights of C's visits add up to
-    |C| * mu / (n - 1), with mu the number of max-degree vertices of C, and
-    every member of C has as many picks as G.  So `visited` is the sum over
-    mu of (n - 1) / mu times the weighted leaves of the visits with that
-    mu, an exact division.  Below n = 2 the one visit stands for itself.
+    e_p so far and the leaves that reach it.
 
     Each neighbourhood S in _picks of the last vertex v = n-1 is one leaf,
-    and its e_p is that of G - v, plus |S|^p, plus (d+1)^p - d^p for each
-    member of S of degree d in G - v.  Joining v to every other vertex
-    would score at least as much, so an exponent whose best so far is
-    higher skips the visit; a tie is still scored.  When every exponent
-    skips it, the leaves are counted (_count_picks), not listed.
+    and its e_p is that of G, plus |S|^p, plus (d+1)^p - d^p for each
+    member of S of degree d in G.  Joining v to every vertex of G would
+    score at least as much, so an exponent whose best so far is higher
+    skips the visit; a tie is still scored.  When every exponent skips it,
+    the leaves are counted (_count_picks), not listed.
     """
     last = len(rows) - 1
-    mu = 1
-    if last > 0:
-        top = max(deg)
-        mu = deg.count(top) - (top == 0)  # vertex n - 1 is not in G yet
-    conflict = _last_conflicts(rows, conflict)
     live = []
     for p, table in tables:
         base = joined = 0
-        for d in deg:
+        for d in deg[:last]:
             base += table[d]
             joined += table[d + 1]
         if last < 0 or joined + table[last] >= best[p]:
             live.append((p, table, base))
-    if live:
-        picks = _picks(conflict)
-        leaves = len(picks)
-    else:
-        leaves = _count_picks(conflict)
-        counts[2] += 1
-    counts[0] += leaves
-    counts[1] += 1
-    counts[3][mu] = counts[3].get(mu, 0) + weight * leaves
+    if not live:
+        return _count_picks(conflict), True
     if last < 0:  # n = 0: the one leaf is the empty graph
         for p, _ in tables:
             best[p] = 0
             ties[p] = [()]
-        return
+        return 1, False
+    picks = _picks(conflict)
     last_bit = 1 << last
     bit_lists = _bit_lists(last)
     for p, table, base in live:
@@ -596,15 +568,17 @@ def _score_picks(tables, best, ties, counts, rows, deg, conflict, weight, rep) -
                 else:
                     ties[p].append(tuple(leaf))
         best[p] = top
+    return len(picks), False
 
 
-def _seed(n: int, table: list[int]) -> int:
+def _seed(n: int, p: int) -> int:
     """The higher e_p of the book graph K2 + empty(n - 2) and of the best
-    complete bipartite K_{b,n-b}, given table = [d**p for d = 0..n].  Both
-    are C5-free, so ex_p(n, C5) is at least this."""
-    split = max(b * table[n - b] + (n - b) * table[b] for b in range(n // 2 + 1))
-    book = 2 * table[n - 1] + (n - 2) * table[2] if n >= 2 else 0
-    return max(book, split)
+    complete bipartite K_{b,n-b}, as the constructions give them, and 0
+    below n = 2.  Both are C5-free, so ex_p(n, C5) is at least this."""
+    if n < 2:
+        return 0
+    book = degree_profile(JoinCliqueEmpty(2, n - 2)).power_sum(p)
+    return max(book, best_biclique_split(n, p)[1])
 
 
 @dataclass(slots=True)
@@ -643,7 +617,7 @@ def search_extremal(
     and the deduplicated isomorphism classes of maximizers (canonical
     relabelings, sorted by certificate).  Only one prefix per S_k orbit is
     walked (see the module docstring); visited is the weighted sum of the
-    leaves of _walk_classes.
+    leaves below the visits of _walk_classes.
 
     stats, when given, accumulates counters and phase times.
     """
@@ -657,13 +631,29 @@ def search_extremal(
 
     tables = [(p, [d ** p for d in range(n + 1)]) for p in ps]
     # the seeds are reached by some leaf, and >= keeps every leaf that ties
-    best = {p: _seed(n, table) for p, table in tables}
+    best = {p: _seed(n, p) for p in ps}
     ties: dict[int, list[tuple[int, ...]]] = {p: [] for p in ps}
-    counts = [0, 0, 0, {}]  # leaves walked, visits scored, visits counted, weighted leaves per mu
-    _walk_classes(n, partial(_score_picks, tables, best, ties, counts), stats, _max_degree_picks)
+    # Every class C on n - 1 vertices is visited, with vertex n - 2 at the
+    # max degree, so every leaf class is reached: a leaf less its last
+    # vertex lies in some C.  By the argument of _prefix_orbits, the weights
+    # of C's visits add up to |C| * mu / (n - 1), with mu the number of
+    # max-degree vertices of C, and every member of C has as many picks as
+    # a visit.  So `visited` is the sum over mu of (n - 1) / mu times the
+    # weighted leaves of the visits with that mu, an exact division.  Below
+    # n = 2 the one visit stands for itself.
+    weighted: dict[int, int] = {}  # mu -> weighted leaves
+    leaves_walked = visits_scored = visits_counted = 0
+    for _, rows, deg, conflict, weight in _walk_classes(n, _max_degree_picks, stats):
+        leaves, counted = _score_picks(tables, best, ties, rows, deg, conflict)
+        degrees = deg[: n - 1]
+        mu = degrees.count(max(degrees)) if degrees else 1
+        weighted[mu] = weighted.get(mu, 0) + weight * leaves
+        leaves_walked += leaves
+        visits_scored += 1
+        visits_counted += counted
     walked = time.perf_counter()
     scale = max(n - 1, 1)
-    visited = sum(_exact_share(scale * leaves, mu) for mu, leaves in counts[3].items())
+    visited = sum(_exact_share(scale * leaves, mu) for mu, leaves in weighted.items())
 
     results: dict[int, SearchResult] = {}
     relabeled = 0
@@ -691,9 +681,9 @@ def search_extremal(
         )
     if stats is not None:
         stats.labeled_graphs += visited
-        stats.leaves_walked += counts[0]
-        stats.visits_scored += counts[1]
-        stats.visits_counted += counts[2]
+        stats.leaves_walked += leaves_walked
+        stats.visits_scored += visits_scored
+        stats.visits_counted += visits_counted
         stats.ties_relabeled += relabeled
         stats.classes += sum(len(r.maximizers) for r in results.values())
         stats.merge_dedup_s += time.perf_counter() - walked
@@ -1009,57 +999,47 @@ def _check_completion(rows, deg, n: int, violations: list[str]) -> int:
     return pairs
 
 
-def _sweep_picks(check, totals, dirty, rows, deg, conflict, weight, rep) -> None:
-    """A sweep's visitor for _walk_classes: walk the picks of the last
-    vertex, add weight times the leaves and the (graph, hub) pairs to
-    totals, and mark rep dirty when a leaf shows a violation.  Every check
-    is invariant under relabeling, so the picks that _walk_classes skips
-    show a violation exactly when the ones it visits do."""
-    n = len(rows)
-    found: list[str] = []
-
-    def leaf(rows, deg):
-        totals[0] += weight
-        totals[1] += weight * check(rows, deg, n, found)
-
-    conflict = _last_conflicts(rows, conflict)
-    _walk(n, len(conflict), rows, deg, leaf, conflict)  # from vertex n - 1, if any
-    if found:
-        dirty.add(rep)
-
-
 def _sweep(n: int, check, force: bool) -> SweepResult:
     """Run check(rows, deg, n, violations), which returns the number of
-    (graph, hub) pairs it tested, below each graph of _walk_classes.
+    (graph, hub) pairs it tested, at each leaf below the graphs of
+    _walk_classes, weighted by the labeled graphs each stands for.  Every
+    check is invariant under relabeling, so the graphs that the class walk
+    skips show a violation exactly when the ones it yields do.
 
-    The prefixes of a dirty class are walked again in full, in _prefixes
-    order, so violations come out as the full labeled walk would list them.
-    Only the prefixes with a dirty representative's sorted degree sequence
-    are keyed by canonical form.
+    The prefixes of a class whose representative shows a violation are
+    walked again in full, in _prefixes order, so violations come out as the
+    full labeled walk would list them.  Only the prefixes that share a
+    dirty representative's _invariant are keyed by canonical form.
     """
     _check_search_order(n, force)
-    totals = [0, 0]  # labeled graphs, (graph, hub) pairs
-    dirty: set[tuple[int, ...]] = set()
-    _walk_classes(n, partial(_sweep_picks, check, totals, dirty))
     violations: list[str] = []
+    tested: list[int] = []  # (graph, hub) pairs per leaf below one graph
 
     def leaf(rows, deg):
+        tested.append(check(rows, deg, n, violations))
+
+    def relisted(rows, deg):
         check(rows, deg, n, violations)
 
-    def degrees(rows):
-        return tuple(sorted(map(int.bit_count, rows)))
-
+    graphs = pairs = 0
+    dirty: set[tuple[int, ...]] = set()
+    for rep, rows, deg, conflict, weight in _walk_classes(n, _twin_picks):
+        _walk(n, len(conflict), rows, deg, leaf, conflict)  # from vertex n - 1, if any
+        graphs += weight * len(tested)
+        pairs += weight * sum(tested)
+        if violations:
+            dirty.add(rep)
+            violations.clear()
+        tested.clear()
     k = max(n - 2, 0)
-    wanted = {degrees(rep) for rep in dirty}
+    wanted = {_invariant(rep, k) for rep in dirty}
     keys = {_canonical_columns(rep, k) for rep in dirty}
     for prefix in _prefixes(k) if dirty else ():
-        if degrees(prefix) in wanted and _canonical_columns(prefix, k) in keys:
+        if _invariant(prefix, k) in wanted and _canonical_columns(prefix, k) in keys:
             rows = [*prefix] + [0] * (n - k)
             deg = [row.bit_count() for row in rows]
-            _walk(n, k, rows, deg, leaf, _conflicts(rows, k))
-    return SweepResult(
-        n=n, graphs=totals[0], pairs_checked=totals[1], violations=tuple(violations)
-    )
+            _walk(n, k, rows, deg, relisted, _conflicts(rows, k))
+    return SweepResult(n=n, graphs=graphs, pairs_checked=pairs, violations=tuple(violations))
 
 
 def sweep_neighborhood_validity(n: int, *, force: bool = False) -> SweepResult:

@@ -4,7 +4,6 @@ classification, and the neighborhood validators driven by the same walker."""
 import gc
 import itertools
 import random
-from functools import partial
 
 import networkx as nx
 import pytest
@@ -317,22 +316,17 @@ def test_search_scores_every_class_on_n_minus_1_vertices():
     # vertices, and for each class their weights times (n - 1) / mu add up
     # to its size
     for n in range(3, 9):
-        counts = [0, 0, 0, {}]
         tables = [(2, [d * d for d in range(n + 1)])]
-        score = partial(search._score_picks, tables, {2: -1}, {2: []}, counts)
         scored = {}
-
-        def visit(rows, deg, conflict, weight, rep):
-            before = counts[1]
-            score(rows, deg, conflict, weight, rep)
-            assert counts[1] == before + 1
+        for _, rows, deg, conflict, weight in search._walk_classes(n, search._max_degree_picks):
+            leaves, counted = search._score_picks(tables, {2: -1}, {2: []}, rows, deg, conflict)
+            assert leaves == len(search._picks(conflict)) and not counted
             degrees = deg[: n - 1]
             assert degrees[n - 2] == max(degrees)
             cert = canonical_form(SmallGraph(n - 1, tuple(rows[: n - 1])))
             total, mu = scored.get(cert, (0, degrees.count(degrees[n - 2])))
             scored[cert] = (total + weight, mu)
 
-        search._walk_classes(n, visit, None, search._max_degree_picks)
         orbits = _prefix_orbits(n - 1)
         classes = {canonical_form(SmallGraph(n - 1, rows)): size for rows, size, _ in orbits}
         assert scored.keys() == classes.keys(), n
@@ -342,22 +336,17 @@ def test_search_scores_every_class_on_n_minus_1_vertices():
 
 def test_class_walk_weights_count_the_graphs_on_n_minus_1_vertices():
     # the edge-decision tree is the reference: the weights handed out sum to
-    # its count on n - 1 vertices, and each conflict, extended by
-    # _last_conflicts, is the one of the graph handed over
+    # its count on n - 1 vertices, and each conflict is the one of the graph
+    # handed over
     for n in range(1, 9):
         total = 0
-
-        def visit(rows, deg, conflict, weight, rep):
-            nonlocal total
+        for rep, rows, deg, conflict, weight in search._walk_classes(n, search._twin_picks):
             total += weight
             assert len(rows) == len(deg) == n and rows[n - 1] == 0
             assert deg == [row.bit_count() for row in rows]
-            assert conflict == search._conflicts(rows, max(n - 2, 0))
-            assert search._last_conflicts(rows, conflict) == search._conflicts(rows, n - 1)
+            assert conflict == search._conflicts(rows, n - 1)
             k = len(rep)  # rep is G[0..k-1]
             assert [row & ((1 << k) - 1) for row in rows[:k]] == list(rep)
-
-        search._walk_classes(n, visit)
         assert total == enumerate_c5_free(n - 1), n
 
 
@@ -422,12 +411,8 @@ def test_max_degree_picks_are_the_twin_picks_that_top_the_degrees():
 
 def test_pick_count_matches_the_listed_picks():
     for n in range(0, 9):
-
-        def visit(rows, deg, conflict, weight, rep):
-            conflict = search._last_conflicts(rows, conflict)
+        for _, rows, _, conflict, _ in search._walk_classes(n, search._twin_picks):
             assert search._count_picks(conflict) == len(search._picks(conflict)), rows
-
-        search._walk_classes(n, visit)
 
 
 def test_search_seeds_are_c5_free_constructions_below_ex_p():
@@ -441,7 +426,7 @@ def test_search_seeds_are_c5_free_constructions_below_ex_p():
         for g in graphs:
             assert not contains_cycle(g, 5), to_graph6(g)
         for p in range(1, 9):
-            seed = search._seed(n, [d ** p for d in range(n + 1)])
+            seed = search._seed(n, p)
             values = [degree_power_sum(degree_sequence(g), p) for g in graphs]
             assert seed == max(values, default=0), (n, p)
             assert seed <= found[p].value, (n, p)
@@ -463,11 +448,28 @@ def test_subtrees_keep_every_tie_with_the_final_incumbent():
             res = ex_p(n, p)
             best, ties = {p: res.value}, {p: []}
             tables = [(p, [d ** p for d in range(n + 1)])]
-            score = partial(search._score_picks, tables, best, ties, [0, 0, 0, {}])
-            search._walk_classes(n, score, None, search._max_degree_picks)
+            for _, rows, deg, conflict, _ in search._walk_classes(n, search._max_degree_picks):
+                search._score_picks(tables, best, ties, rows, deg, conflict)
             assert best[p] == res.value, (n, p)
             found = {canonical_form(SmallGraph(n, rows)) for rows in ties[p]}
             assert found == {rec.canonical for rec in res.maximizers}, (n, p)
+
+
+def test_skip_bound_is_the_join_of_the_last_vertex_to_every_other():
+    # an incumbent one above the leaf that joins vertex n - 1 to all of G is
+    # out of reach: the visit is counted, and best and ties stay as they were
+    for n in range(2, 9):
+        for p in (1, 2, 3):
+            tables = [(p, [d ** p for d in range(n + 1)])]
+            for _, rows, deg, conflict, _ in search._walk_classes(n, search._max_degree_picks):
+                joined = sum((d + 1) ** p for d in deg[: n - 1]) + (n - 1) ** p
+                best, ties = {p: joined + 1}, {p: [("kept",)]}
+                leaves, counted = search._score_picks(tables, best, ties, rows, deg, conflict)
+                assert counted and leaves == len(search._picks(conflict)), (n, p, rows)
+                assert (best, ties) == ({p: joined + 1}, {p: [("kept",)]}), (n, p, rows)
+                # at the join-all value itself the visit is scored
+                _, counted = search._score_picks(tables, {p: joined}, {p: []}, rows, deg, conflict)
+                assert not counted, (n, p, rows)
 
 
 def test_search_n9_splits_at_seven_prefix_vertices():
@@ -504,6 +506,23 @@ def test_search_n10_row():
             assert rec.biclique == (5, 5), p
         else:
             assert res.value == 2 * 9 ** p + 8 * 2 ** p, p
+            assert rec.canonical == book, p
+
+
+def test_search_n11_at_the_cap():
+    # the largest order the search runs without force: K_{5,6} for p <= 2,
+    # the book graph K2 + empty(9) from p = 3 on
+    found = search_extremal(11, range(1, 9))
+    book = canonical_form(build(JoinCliqueEmpty(2, 9)))
+    for p in range(1, 9):
+        res = found[p]
+        [rec] = res.maximizers
+        assert res.visited == 1239155328857, p
+        if p <= 2:
+            assert res.value == [60, 330][p - 1], p
+            assert rec.biclique == (5, 6), p
+        else:
+            assert res.value == 2 * 10 ** p + 9 * 2 ** p, p
             assert rec.canonical == book, p
 
 
