@@ -311,7 +311,8 @@ def parse_spec(text: str) -> ConstructionSpec:
         raise ValueError(f"unknown construction {name!r}; expected one of {sorted(_SPEC_SHAPES)}")
     keys, cls = _SPEC_SHAPES[name]
     if not sep:
-        raise ValueError(f"construction {name!r} needs parameters {'='.join(keys)!r}")
+        example = ",".join(f"{key}=.." for key in keys)
+        raise ValueError(f"construction {name!r} needs parameters {example!r}")
     given: dict[str, int] = {}
     for part in body.split(","):
         key, eq, val = part.partition("=")

@@ -1,28 +1,28 @@
 """Exhaustive search over C5-free graphs and structural validators.
 
-Two walks visit every labeled C5-free graph exactly once, in the same order.
-The reference, enumerate_c5_free, decides the edges (0,1), (0,2), (1,2),
-(0,3), ... one at a time and cuts the include branch the moment the new edge
-would close a 5-cycle; containment is monotone, so the cut is exact.  Since
-that order lists (0,j), (1,j), ..., (j-1,j) together, it picks vertex j's
+The reference, enumerate_c5_free, visits every labeled C5-free graph
+exactly once: it decides the edges (0,1), (0,2), (1,2), (0,3), ... one at a
+time and cuts the include branch the moment the new edge would close a
+5-cycle; containment is monotone, so the cut is exact.  Since that order
+lists (0,j), (1,j), ..., (j-1,j) together, it picks vertex j's
 neighbourhood S in {0..j-1} bit by bit, and joining j to S closes a 5-cycle
 exactly when two members of S end a path a-x-y-b on four distinct vertices
-of G[0..j-1].  The search and the sweeps therefore run _walk, which adds one
-vertex at a time: it keeps those path ends for each graph on j vertices,
-updated from its parent's (_conflicts_after), so each include test is one
-AND.  Taking the bits of
-S include-first reproduces the reference's leaf order, so ties and violation
-lists come out the same.  Labeled counts grow fast (9,369,687 at n = 8),
-which is why the leaf work is all bitmask arithmetic on raw adjacency rows;
-the SmallGraph API appears only at the edges of the module.
+of G[0..j-1].  The search and the sweeps therefore add one vertex at a
+time, by one child step (_children): each graph on j vertices keeps those
+path ends, updated from its parent's (_conflicts_after), so each include
+test is one AND.  Taking the bits of S include-first (_picks) reproduces
+the reference's leaf order, so ties and violation lists come out the same.
+Labeled counts grow fast (9,369,687 at n = 8), which is why the leaf work
+is all bitmask arithmetic on raw adjacency rows; the SmallGraph API
+appears only at the edges of the module.
 
 The extremal search and the validator sweeps split the walk at the first
-k = n - 2 vertices (k = 0 below n = 3): _prefixes is the same walk stopped
-at k vertices, and its graphs, as tuples of adjacency rows, are the
-prefixes.  Every later edge touches a vertex >= k, so a permutation of
-{0..k-1} maps the completions of one prefix one-to-one onto the completions
-of its image, keeping e_p, C5-freeness, the isomorphism class and every
-property the sweeps test.  _prefix_orbits grows the orbits one vertex at a
+k = n - 2 vertices (k = 0 below n = 3): the C5-free graphs on vertices
+0..k-1, as tuples of adjacency rows, are the prefixes, and _prefixes lists
+them in the reference's order.  Every later edge touches a vertex >= k,
+so a permutation of {0..k-1} maps the completions of one prefix
+one-to-one onto the completions of its image, keeping e_p, C5-freeness,
+the isomorphism class and every property the sweeps test.  _prefix_orbits grows the orbits one vertex at a
 time and keeps one graph per class, making only the children whose new
 vertex has the maximum degree (canonical deletion, McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 1998); that degree rule lives in one
@@ -41,10 +41,11 @@ size times the picks it stands for, so `visited`, `graphs` and
 e_p of the book graph and of the best K_{b,n-b}, as the constructions
 give them, scores the picks of the last vertex only for the exponents
 that may still reach their incumbent, and otherwise just counts them; a
-sweep walks them.  Violations name labeled graphs, so a sweep walks the
-prefixes of a class again, in _prefixes order and picked by canonical
-form, only when its representative shows one.  Everything runs in one
-process.
+sweep checks them in place (_check_picks).  Violations name labeled
+graphs, so a sweep walks the prefixes of a class again, in _prefixes order
+and picked by canonical form, only when its representative shows one: each
+prefix is then a class of its own, completed by the same visit step as the
+classes (_visits).  Everything runs in one process.
 """
 
 from __future__ import annotations
@@ -240,38 +241,6 @@ def _picks(conflict: list[int], smaller: Optional[list[int]] = None) -> list[int
     return picks
 
 
-def _walk(n: int, j: int, rows, deg, leaf, conflict: list[int]) -> None:
-    """Call leaf(rows, deg) at every C5-free graph on the first n vertices
-    that extends the C5-free graph G[0..j-1] held in rows and deg, whose
-    _conflicts are `conflict`.
-
-    Recursion is by level only and defines no closure, so a walk leaves no
-    reference cycles.
-    """
-    if j == n:
-        leaf(rows, deg)
-        return
-    bit_lists = _bit_lists(j)
-    j_bit = 1 << j
-    last = j + 1 == n
-    for s in _picks(conflict):
-        members = bit_lists[s]
-        for i in members:
-            rows[i] |= j_bit
-            deg[i] += 1
-        rows[j] = s
-        deg[j] = len(members)
-        if last:
-            leaf(rows, deg)
-        else:
-            _walk(n, j + 1, rows, deg, leaf, _conflicts_after(rows, j, conflict))
-        for i in members:
-            rows[i] ^= j_bit
-            deg[i] -= 1
-    rows[j] = 0
-    deg[j] = 0
-
-
 @cache
 def _bit_lists(j: int) -> tuple[tuple[int, ...], ...]:
     """Entry s lists the set bits of s in increasing order, for every subset s
@@ -283,10 +252,10 @@ def _bit_lists(j: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _prefixes(k: int) -> list[tuple[int, ...]]:
-    """All C5-free graphs on vertices 0..k-1 as adjacency-row tuples, in walk
-    order."""
+    """All C5-free graphs on vertices 0..k-1 as adjacency-row tuples, in the
+    order of the labeled reference, _run_tree."""
     found: list[tuple[int, ...]] = []
-    _walk(k, 0, [0] * k, [0] * k, lambda rows, deg: found.append(tuple(rows)), [])
+    _run_tree(k, lambda rows: found.append(tuple(rows)))
     return found
 
 
@@ -450,32 +419,48 @@ def _prefix_orbits(
     return orbits
 
 
-def _walk_classes(n: int, picks, stats: Optional[SearchStats] = None):
+def _visits(n: int, orbits, picks):
     """Yield (rep, rows, deg, conflict, weight) once for each graph G on the
-    first n - 1 vertices that the search and the sweeps complete: the
-    _children at vertex k = n - 2 of the representatives rep of
-    _prefix_orbits(k) through picks, _twin_picks for the sweeps and
-    _max_degree_picks for the search.  Below n = 2 there is no vertex
-    n - 2, and rep itself is G.
+    first n - 1 vertices made from orbits, (rep, size, path ends) with rep
+    on vertices 0..k-1, k = max(n - 2, 0): the _children at vertex n - 2 of
+    each rep through picks.  Below n = 2 there is no vertex n - 2, and rep
+    itself is G.
 
     rows and deg are new lists that hold G padded to n vertices, conflict
-    is _conflicts(rows, n - 1), and weight, the orbit size times the twin
-    weight of S, counts the labeled graphs on n - 1 vertices that G stands
-    for: each of them is a yielded G relabeled on {0..k-1} and within the
-    twin classes of rep.  stats gets the phase times once the walk ends.
+    is _conflicts(rows, n - 1), and weight is the size times the weight of
+    the pick.
     """
-    start = time.perf_counter()
-    k = max(n - 2, 0)
-    orbits = _prefix_orbits(k, stats)
-    grouped = time.perf_counter()
     if n < 2:
         for rep, size, conflict in orbits:
             yield rep, [0] * n, [0] * n, conflict, size
-    else:
-        for rep, rows, weight, conflict in _children(orbits, k, picks):
-            rows.append(0)  # vertex n - 1, not joined yet
-            deg = [row.bit_count() for row in rows]
-            yield rep, rows, deg, _conflicts_after(rows, k, conflict), weight
+        return
+    k = n - 2
+    for rep, rows, weight, conflict in _children(orbits, k, picks):
+        rows.append(0)  # vertex n - 1, not joined yet
+        deg = [row.bit_count() for row in rows]
+        yield rep, rows, deg, _conflicts_after(rows, k, conflict), weight
+
+
+def _every_pick(rows, j: int, conflict: list[int]) -> list[tuple[int, int]]:
+    """(S, 1) for each pick S of _picks: the picks of a labeled prefix that
+    stands for itself alone."""
+    return [(s, 1) for s in _picks(conflict)]
+
+
+def _walk_classes(n: int, picks, stats: Optional[SearchStats] = None):
+    """_visits of the orbits of _prefix_orbits(k), k = max(n - 2, 0), through
+    picks, _twin_picks for the sweeps and _max_degree_picks for the search:
+    once for each graph G on the first n - 1 vertices that they complete.
+
+    A visit's weight, the orbit size times the twin weight of S, counts
+    the labeled graphs on n - 1 vertices that G stands for: each of them is
+    a yielded G relabeled on {0..k-1} and within the twin classes of rep.
+    stats gets the phase times once the walk ends.
+    """
+    start = time.perf_counter()
+    orbits = _prefix_orbits(max(n - 2, 0), stats)
+    grouped = time.perf_counter()
+    yield from _visits(n, orbits, picks)
     if stats is not None:
         stats.walk_s += time.perf_counter() - grouped
         stats.orbit_grouping_s += grouped - start
@@ -696,7 +681,12 @@ def ex_p(n: int, p: int, *, force: bool = False) -> SearchResult:
 
 
 def max_degree_ratio(result: SearchResult) -> list[Fraction]:
-    """Delta/n for each maximizer class, exact."""
+    """Delta/n for each maximizer class, exact.
+
+    Raises ValueError at n = 0, where Delta/n is undefined.
+    """
+    if not result.n:
+        raise ValueError("Delta/n is undefined at n = 0")
     return [Fraction(rec.max_degree, result.n) for rec in result.maximizers]
 
 
@@ -999,46 +989,73 @@ def _check_completion(rows, deg, n: int, violations: list[str]) -> int:
     return pairs
 
 
+def _check_picks(
+    check, n: int, rows, deg, conflict: list[int], violations: list[str]
+) -> tuple[int, int]:
+    """Run check(rows, deg, n, violations) at each leaf below a visit of
+    _visits: G on n - 1 vertices, held in rows and deg padded to n vertices,
+    with path ends conflict, and its last vertex v = n - 1 joined in place
+    to each S of _picks(conflict), include first.  Returns (leaves, pairs),
+    pairs the sum of what check returned.  At n = 0 the one leaf is the
+    empty graph."""
+    if not n:
+        return 1, check(rows, deg, n, violations)
+    last = n - 1
+    last_bit = 1 << last
+    bit_lists = _bit_lists(last)
+    picks = _picks(conflict)
+    pairs = 0
+    for s in picks:
+        members = bit_lists[s]
+        for i in members:
+            rows[i] |= last_bit
+            deg[i] += 1
+        rows[last] = s
+        deg[last] = len(members)
+        pairs += check(rows, deg, n, violations)
+        for i in members:
+            rows[i] ^= last_bit
+            deg[i] -= 1
+    return len(picks), pairs
+
+
 def _sweep(n: int, check, force: bool) -> SweepResult:
     """Run check(rows, deg, n, violations), which returns the number of
     (graph, hub) pairs it tested, at each leaf below the graphs of
-    _walk_classes, weighted by the labeled graphs each stands for.  Every
-    check is invariant under relabeling, so the graphs that the class walk
-    skips show a violation exactly when the ones it yields do.
+    _walk_classes (_check_picks), weighted by the labeled graphs each
+    stands for.  Every check is invariant under relabeling, so the graphs
+    that the class walk skips show a violation exactly when the ones it
+    yields do.
 
-    The prefixes of a class whose representative shows a violation are
-    walked again in full, in _prefixes order, so violations come out as the
-    full labeled walk would list them.  Only the prefixes that share a
-    dirty representative's _invariant are keyed by canonical form.
+    Violations name labeled graphs, so the prefixes of a class whose
+    representative shows one are walked again, in _prefixes order, each
+    as a class of its own: _visits with every pick at weight 1, whose
+    leaves come in the order of the full labeled walk.  Only the prefixes
+    that share a dirty representative's _invariant are keyed by canonical
+    form.
     """
     _check_search_order(n, force)
     violations: list[str] = []
-    tested: list[int] = []  # (graph, hub) pairs per leaf below one graph
-
-    def leaf(rows, deg):
-        tested.append(check(rows, deg, n, violations))
-
-    def relisted(rows, deg):
-        check(rows, deg, n, violations)
-
     graphs = pairs = 0
     dirty: set[tuple[int, ...]] = set()
     for rep, rows, deg, conflict, weight in _walk_classes(n, _twin_picks):
-        _walk(n, len(conflict), rows, deg, leaf, conflict)  # from vertex n - 1, if any
-        graphs += weight * len(tested)
-        pairs += weight * sum(tested)
+        leaves, tested = _check_picks(check, n, rows, deg, conflict, violations)
+        graphs += weight * leaves
+        pairs += weight * tested
         if violations:
             dirty.add(rep)
             violations.clear()
-        tested.clear()
-    k = max(n - 2, 0)
-    wanted = {_invariant(rep, k) for rep in dirty}
-    keys = {_canonical_columns(rep, k) for rep in dirty}
-    for prefix in _prefixes(k) if dirty else ():
-        if _invariant(prefix, k) in wanted and _canonical_columns(prefix, k) in keys:
-            rows = [*prefix] + [0] * (n - k)
-            deg = [row.bit_count() for row in rows]
-            _walk(n, k, rows, deg, relisted, _conflicts(rows, k))
+    if dirty:
+        k = max(n - 2, 0)
+        wanted = {_invariant(rep, k) for rep in dirty}
+        keys = {_canonical_columns(rep, k) for rep in dirty}
+        labeled = (
+            (prefix, 1, _conflicts(prefix, k))
+            for prefix in _prefixes(k)
+            if _invariant(prefix, k) in wanted and _canonical_columns(prefix, k) in keys
+        )
+        for _, rows, deg, conflict, _ in _visits(n, labeled, _every_pick):
+            _check_picks(check, n, rows, deg, conflict, violations)
     return SweepResult(n=n, graphs=graphs, pairs_checked=pairs, violations=tuple(violations))
 
 

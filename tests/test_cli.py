@@ -73,6 +73,13 @@ def test_construct_bad_spec_is_usage_error(capsys):
     assert "degpow: error" in err
 
 
+def test_construct_without_parameters_names_each_key(capsys):
+    for spec, keys in (("kbip", "a=..,b=.."), ("gprime", "n=..,d=..")):
+        code, out, err = run_cli(capsys, "construct", spec)
+        assert code == 2 and out == ""
+        assert f"construction {spec!r} needs parameters {keys!r}" in err
+
+
 def test_construct_capacity_split(capsys):
     # profiles have no order cap; materializing the graph does
     code, out, _ = run_cli(capsys, "construct", "turan:n=70,r=2", "--format", "json")

@@ -99,19 +99,29 @@ def test_visitor_sees_raw_rows():
 
 
 def test_vertex_walk_visits_the_edge_tree_leaves_in_order():
-    # the walk that the search and the sweeps share against the labeled
-    # reference: same graphs, same order, degrees that match the rows
+    # the sweep's dirty pass against the labeled reference: every prefix a
+    # class of its own, completed by the class walk's visit step and the
+    # in-place loop over the last vertex; same graphs, same order, degrees
+    # that match the rows
     for n in range(0, 8):
         reference = []
         enumerate_c5_free(n, lambda rows: reference.append(hash(tuple(rows))))
+        k = max(n - 2, 0)
+        labeled = ((prefix, 1, search._conflicts(prefix, k)) for prefix in _prefixes(k))
         walked = []
 
-        def leaf(rows, deg):
+        def check(rows, deg, order, found):
             assert deg == [row.bit_count() for row in rows]
-            walked.append(hash(tuple(rows)))
+            found.append(hash(tuple(rows)))
+            return 1
 
-        search._walk(n, 0, [0] * n, [0] * n, leaf, [])
-        assert walked == reference, n
+        leaves = 0
+        for _, rows, deg, conflict, weight in search._visits(n, labeled, search._every_pick):
+            assert weight == 1
+            count, pairs = search._check_picks(check, n, rows, deg, conflict, walked)
+            assert count == pairs
+            leaves += count
+        assert walked == reference and leaves == len(reference), n
 
 
 def test_conflicts_are_the_pairs_that_close_a_c5():
@@ -372,7 +382,7 @@ def test_twin_picks_stand_for_every_pick_class_by_class():
     # add up to the number of picks S that land in it
     for n in range(0, 6):
 
-        def leaf(rows, deg):
+        def leaf(rows):
             def key(s):
                 grown = list(rows) + [s]
                 for i in range(n):
@@ -389,7 +399,7 @@ def test_twin_picks_stand_for_every_pick_class_by_class():
                 kept[cls] = kept.get(cls, 0) + weight
             assert kept == every, rows
 
-        search._walk(n, 0, [0] * n, [0] * n, leaf, [])
+        enumerate_c5_free(n, leaf)
 
 
 def test_max_degree_picks_are_the_twin_picks_that_top_the_degrees():
@@ -397,7 +407,8 @@ def test_max_degree_picks_are_the_twin_picks_that_top_the_degrees():
     # kept when the new vertex ends with the maximum degree, in the same order
     for n in range(0, 6):
 
-        def leaf(rows, deg):
+        def leaf(rows):
+            deg = [row.bit_count() for row in rows]
             conflict = search._conflicts(rows, n)
             expected = [
                 (s, weight)
@@ -406,7 +417,7 @@ def test_max_degree_picks_are_the_twin_picks_that_top_the_degrees():
             ]
             assert search._max_degree_picks(rows, n, conflict) == expected, rows
 
-        search._walk(n, 0, [0] * n, [0] * n, leaf, [])
+        enumerate_c5_free(n, leaf)
 
 
 def test_pick_count_matches_the_listed_picks():
@@ -588,6 +599,15 @@ def test_max_degree_ratio_exact():
     assert max_degree_ratio(res) == [Fraction(3, 4)]
     res5 = ex_p(5, 2)
     assert max_degree_ratio(res5) == [Fraction(4, 5), Fraction(4, 5)]
+
+
+def test_max_degree_ratio_is_undefined_at_order_zero():
+    # the empty graph is a maximizer at n = 0, and its Delta/n is 0/0
+    res = ex_p(0, 2)
+    assert len(res.maximizers) == 1
+    with pytest.raises(ValueError, match="undefined at n = 0"):
+        max_degree_ratio(res)
+    assert classify_maximizers(res)["maximizer_classes"][0]["max_degree_ratio"] == "0/0"
 
 
 # ---------------------------------------------------------------------------
@@ -805,39 +825,61 @@ def _labeled_reference(n, violations_of):
     return found
 
 
-def test_validity_violations_list_every_labeled_graph(monkeypatch):
+def _never_a_star(rows, comp, size):
+    return False
+
+
+def _non_star_violations(g):
     # with _is_star failing, every component of order >= 4 in the
     # neighborhood of a hub of degree >= 4 is a violation
-    def violations_of(g):
-        out = []
-        for u in range(g.order):
-            if g.degree(u) < 4:
-                continue
-            nbrs = set(g.neighbors(u))
-            nbhd = nx.Graph([(a, b) for a in nbrs for b in g.neighbors(a) if b in nbrs])
-            big = sum(1 for comp in nx.connected_components(nbhd) if len(comp) > 3)
-            out += [f"{to_graph6(g)} u={u}"] * big
-        return out
+    out = []
+    for u in range(g.order):
+        if g.degree(u) < 4:
+            continue
+        nbrs = set(g.neighbors(u))
+        nbhd = nx.Graph([(a, b) for a in nbrs for b in g.neighbors(a) if b in nbrs])
+        big = sum(1 for comp in nx.connected_components(nbhd) if len(comp) > 3)
+        out += [f"{to_graph6(g)} u={u}"] * big
+    return out
 
+
+def _every_hub_fails(rows, n, u):
+    return ["stub"], [], 0, 0
+
+
+def _every_hub_violations(g):
+    return [f"{to_graph6(g)} u={u}: stub" for u, _, has_edge in _max_degree_hubs(g) if has_edge]
+
+
+def _dominating_hubs_fail(rows, order, u):
+    return (["stub"] if rows[u].bit_count() == order - 1 else []), [], 0, 0
+
+
+def _dominating_hub_violations(g):
+    # a dominating hub has maximum degree; it needs one edge among the rest
+    rows, n = g.rows, g.order
+    return [
+        f"{to_graph6(g)} u={u}: stub"
+        for u, row in enumerate(rows)
+        if row.bit_count() == n - 1 and any(rows[v] & row for v in range(n) if v != u)
+    ]
+
+
+def test_validity_violations_list_every_labeled_graph(monkeypatch):
     clean = sweep_neighborhood_validity(6)
-    monkeypatch.setattr(search, "_is_star", lambda rows, comp, size: False)
+    monkeypatch.setattr(search, "_is_star", _never_a_star)
     swept = sweep_neighborhood_validity(6)
-    expected = _labeled_reference(6, violations_of)
+    expected = _labeled_reference(6, _non_star_violations)
     assert len(expected) > 100
     assert swept.violations == tuple(expected)
     assert (swept.graphs, swept.pairs_checked) == (clean.graphs, clean.pairs_checked)
 
 
 def test_observation_violations_list_every_labeled_graph(monkeypatch):
-    def violations_of(g):
-        return [f"{to_graph6(g)} u={u}: stub" for u, _, has_edge in _max_degree_hubs(g) if has_edge]
-
     clean = sweep_observations(6)
-    monkeypatch.setattr(
-        search, "_validate_observation_rows", lambda rows, n, u: (["stub"], [], 0, 0)
-    )
+    monkeypatch.setattr(search, "_validate_observation_rows", _every_hub_fails)
     swept = sweep_observations(6)
-    expected = _labeled_reference(6, violations_of)
+    expected = _labeled_reference(6, _every_hub_violations)
     assert len(expected) == clean.pairs_checked
     assert swept.violations == tuple(expected)
     assert (swept.graphs, swept.pairs_checked) == (clean.graphs, clean.pairs_checked)
@@ -847,21 +889,9 @@ def test_violations_keep_the_labeled_order_past_four_prefix_vertices(monkeypatch
     # at n = 7 the prefixes have k = 5 vertices; only graphs with a
     # dominating hub fail, so some prefix classes are dirty and some clean
     n = 7
-
-    def stub(rows, order, u):
-        return (["stub"] if rows[u].bit_count() == order - 1 else []), [], 0, 0
-
-    expected = []
-
-    def visit(rows):
-        # a dominating hub has maximum degree; it needs one edge among the rest
-        for u, row in enumerate(rows):
-            if row.bit_count() == n - 1 and any(rows[v] & row for v in range(n) if v != u):
-                expected.append(f"{to_graph6(SmallGraph(n, tuple(rows)))} u={u}: stub")
-
-    enumerate_c5_free(n, visit)
+    expected = _labeled_reference(n, _dominating_hub_violations)
     clean = sweep_observations(n)
-    monkeypatch.setattr(search, "_validate_observation_rows", stub)
+    monkeypatch.setattr(search, "_validate_observation_rows", _dominating_hubs_fail)
     canonical_columns = search._canonical_columns
     keyed = 0
 
@@ -878,3 +908,43 @@ def test_violations_keep_the_labeled_order_past_four_prefix_vertices(monkeypatch
     assert 100 < len(expected) < clean.pairs_checked
     assert swept.violations == tuple(expected)
     assert (swept.graphs, swept.pairs_checked) == (clean.graphs, clean.pairs_checked)
+
+
+def test_dirty_pass_keeps_the_labeled_order_at_every_small_order(monkeypatch):
+    # below n = 3 the prefixes are empty (k = 0) and the dirty pass starts
+    # at vertex 0.  A check that flags every leaf makes every class dirty,
+    # and on top of each real check it leaves the counts alone; it is also
+    # what lists the completion sweep's violations in order
+    checks = (
+        (search._check_validity, sweep_neighborhood_validity),
+        (search._check_observations, sweep_observations),
+        (search._check_completion, sweep_bipartite_completion),
+    )
+    stubs = (
+        ("_is_star", _never_a_star, sweep_neighborhood_validity, _non_star_violations),
+        ("_validate_observation_rows", _every_hub_fails, sweep_observations, _every_hub_violations),
+        ("_validate_observation_rows", _dominating_hubs_fail, sweep_observations,
+         _dominating_hub_violations),
+    )
+    for n in range(0, 7):
+        clean = {sweep_fn: sweep_fn(n) for _, sweep_fn in checks}
+        every_leaf = tuple(_labeled_reference(n, lambda g: [to_graph6(g)]))
+        for check, sweep_fn in checks:
+
+            def flagged(rows, deg, order, violations, check=check):
+                violations.append(to_graph6(SmallGraph(order, tuple(rows))))
+                return check(rows, deg, order, violations)
+
+            swept = search._sweep(n, flagged, False)
+            assert swept.violations == every_leaf, (sweep_fn.__name__, n)
+            assert (swept.graphs, swept.pairs_checked) == (
+                clean[sweep_fn].graphs, clean[sweep_fn].pairs_checked
+            ), (sweep_fn.__name__, n)
+        for name, stub, sweep_fn, violations_of in stubs:
+            with monkeypatch.context() as patched:
+                patched.setattr(search, name, stub)
+                swept = sweep_fn(n)
+            assert swept.violations == tuple(_labeled_reference(n, violations_of)), (name, n)
+            assert (swept.graphs, swept.pairs_checked) == (
+                clean[sweep_fn].graphs, clean[sweep_fn].pairs_checked
+            ), (name, n)
