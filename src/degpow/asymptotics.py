@@ -544,11 +544,31 @@ def best_biclique_split(n: int, p: int) -> tuple[int, int]:
     maximum, so b/n lands near c(p) for large n.
 
     The smaller side b runs over 1..n//2 and g(b) = b(n-b)^p + (n-b)b^p is
-    maximized by an exact branch and bound: on [i, j], g <= j(n-i)^p +
-    (n-i)j^p, since each term is an increasing factor times a decreasing
-    one, and a range is dropped only when that bound is strictly below the
-    best g found.  Among tied maxima the smallest b wins, so the returned
-    side n - b is the largest tied one.
+    maximized by an exact branch and bound; a range is dropped only when
+    its bound is strictly below the best g found.  On [i, j] the bound is
+    the smaller of two:
+
+    - j(n-i)^p + (n-i)j^p, since each term of g is an increasing factor
+      times a decreasing one;
+    - g(i) + (j-i) max(0, D), with D an integer upper bound on g' over
+      the real interval [i, j]: by the mean value theorem, g(k) <= g(i) +
+      (k-i)D <= g(i) + (j-i) max(0, D) for i <= k <= j.
+
+    D is built term by term from g'(b) = (n-b)^p - p b(n-b)^(p-1) +
+    p(n-b)b^(p-1) - b^p on [i, j], within [1, n/2]:
+
+    - (n-b)^p and -b^p are decreasing, so each is largest at b = i;
+    - b(n-b)^(p-1) has derivative (n-b)^(p-2)(n - pb), so it rises up to
+      n/p and falls after: it is unimodal, and its minimum over [i, j] is
+      at an end;
+    - (n-b)b^(p-1) is decreasing for p = 1 and, for p >= 2, has derivative
+      b^(p-2)((p-1)n - pb) >= 0 up to (p-1)n/p >= n/2, so it is monotone
+      on [i, j] and its maximum is at an end.
+
+    The first bound is loose near n/2, where g is flat (to fourth order at
+    p = 3) while the bound exceeds g by about (j-i)n^p; the second exceeds g
+    there by a term of order (j-i)^2 p^2 n^(p-1).  Among tied maxima the
+    smallest b wins, so the returned side n - b is the largest tied one.
     """
     if n < 2:
         raise ValueError(f"need n >= 2 to split, got {n}")
@@ -559,7 +579,13 @@ def best_biclique_split(n: int, p: int) -> tuple[int, int]:
         return b * (n - b) ** p + (n - b) * b ** p
 
     def g_upper(i: int, j: int) -> int:
-        return j * (n - i) ** p + (n - i) * j ** p
+        ni, nj = n - i, n - j
+        slope = (
+            ni ** p - i ** p
+            - p * min(i * ni ** (p - 1), j * nj ** (p - 1))
+            + p * max(ni * i ** (p - 1), nj * j ** (p - 1))
+        )
+        return min(j * ni ** p + ni * j ** p, g(i) + (j - i) * max(0, slope))
 
     b, value, _ = _first_argmax(g, g_upper, 1, n // 2)
     return n - b, value

@@ -5,6 +5,15 @@ byte-reproducible for identical flags; wall-clock timings live in the
 designated elapsed_ms field and nowhere else.  Exit codes: 0 success or pass,
 1 verification failure, 2 usage or validation error or an --out path that
 cannot be written, 3 capacity exceeded.
+
+Imports are deferred.  Each handler imports the engine names it uses from
+their home modules when it runs, and main imports CapacityError only after
+parsing, so `--help` loads no engine module and each command loads only the
+modules it runs; where no bytecode cache is written, every start compiles
+what it loads.  The engine names the handlers use stay readable as
+degpow.cli.<name> through the module __getattr__ below, because tools wrap
+them there (benchmarks/layers.py wraps cli.search_extremal and
+cli.optimize_c); the handlers call whatever the home module holds.
 """
 
 from __future__ import annotations
@@ -13,19 +22,33 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, astuple
-from fractions import Fraction
-from pathlib import Path
+from importlib import import_module
 from typing import Optional, Sequence
 
-from .asymptotics import optimize_c, split_objective
-from .claims import CLAIMS, run_all, run_claim
-from .constructions import _SPEC_SHAPES, build, degree_profile, parse_spec, spec_name
-from .graphs import CapacityError, to_graph6
-from .search import SearchStats, classification_report, search_extremal
+_ENGINE = {
+    "asymptotics": ("optimize_c", "split_objective"),
+    "claims": ("CLAIMS", "run_all", "run_claim"),
+    "constructions": ("_SPEC_SHAPES", "build", "degree_profile", "parse_spec", "spec_name"),
+    "graphs": ("CapacityError", "to_graph6"),
+    "search": ("SearchStats", "classification_report", "search_extremal"),
+}
+_HOME = {name: module for module, names in _ENGINE.items() for name in names}
+
+
+def __getattr__(name: str):
+    """An engine name, read from its home module on every access, so it is
+    the object that module holds now."""
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__package__}.{module}"), name)
 
 
 def _canonical_spec(spec) -> str:
+    from dataclasses import astuple
+
+    from .constructions import _SPEC_SHAPES, spec_name
+
     name = spec_name(spec)
     keys, _ = _SPEC_SHAPES[name]
     return name + ":" + ",".join(f"{k}={v}" for k, v in zip(keys, astuple(spec)))
@@ -34,7 +57,8 @@ def _canonical_spec(spec) -> str:
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         try:
-            Path(out).write_text(text, encoding="utf-8")
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
         except OSError as exc:
             raise ValueError(f"cannot write {out}: {exc.strerror}") from None
     else:
@@ -45,7 +69,9 @@ def _emit_json(obj, out: Optional[str]) -> None:
     _emit(json.dumps(obj, indent=2) + "\n", out)
 
 
-def _rational(text: str) -> Fraction:
+def _rational(text: str):
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -82,8 +108,10 @@ _STATS_HELP = "print search counters and phase times as one JSON line on stderr"
 _WORKERS_HELP = "accepted for older command lines; the search runs in one process"
 
 
-def _emit_stats(stats: Optional[SearchStats]) -> None:
+def _emit_stats(stats) -> None:
     if stats is not None:
+        from dataclasses import asdict
+
         print(json.dumps(asdict(stats)), file=sys.stderr)
 
 
@@ -118,7 +146,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--out", default=None)
 
     p_verify = sub.add_parser("verify", help="run one named claim, or all of them")
-    p_verify.add_argument("claim", help="claim id or 'all'; known: " + ", ".join(CLAIMS))
+    # listing the claim ids here would load the claims module and the
+    # engine below it for every --help; an unknown id lists them instead
+    p_verify.add_argument("claim", help="claim id, or 'all' for every claim")
     p_verify.add_argument("--p", type=int, default=None)
     p_verify.add_argument("--a", type=_rational, default=None)
     p_verify.add_argument("--y", type=_rational, default=None)
@@ -142,6 +172,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_construct(args) -> int:
+    from .constructions import build, degree_profile, parse_spec
+    from .graphs import to_graph6
+
     spec = parse_spec(args.spec)
     if args.format == "graph6":
         _emit(to_graph6(build(spec)) + "\n", args.out)
@@ -160,6 +193,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_epow(args) -> int:
+    from .constructions import degree_profile, parse_spec
+
     spec = parse_spec(args.spec)
     profile = degree_profile(spec)
     value = profile.power_sum(args.p)
@@ -174,6 +209,8 @@ def _cmd_epow(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .search import SearchStats, search_extremal
+
     stats = SearchStats() if args.stats else None
     start = time.perf_counter()
     result = search_extremal(args.n, [args.p], force=args.force, stats=stats)[args.p]
@@ -199,6 +236,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_optimize_c(args) -> int:
+    from .asymptotics import optimize_c, split_objective
+
     lines = ["p,c,f_c"]
     for p in args.p:
         c = optimize_c(p, args.tol)
@@ -208,6 +247,8 @@ def _cmd_optimize_c(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .claims import run_all, run_claim
+
     params = {
         "p": args.p,
         "a": args.a,
@@ -232,6 +273,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .search import SearchStats, classification_report
+
     if args.n_min < 0 or args.n_min > args.n_max:
         raise ValueError(f"need 0 <= n-min <= n-max, got {args.n_min}..{args.n_max}")
     stats = SearchStats() if args.stats else None
@@ -272,6 +315,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse exits on usage errors and --help
         code = exc.code
         return code if isinstance(code, int) else 2
+    from .graphs import CapacityError
+
     try:
         return _DISPATCH[args.command](args)
     except CapacityError as exc:

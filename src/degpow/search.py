@@ -1030,9 +1030,10 @@ def _sweep(n: int, check, force: bool) -> SweepResult:
     Violations name labeled graphs, so the prefixes of a class whose
     representative shows one are walked again, in _prefixes order, each
     as a class of its own: _visits with every pick at weight 1, whose
-    leaves come in the order of the full labeled walk.  Only the prefixes
-    that share a dirty representative's _invariant are keyed by canonical
-    form.
+    leaves come in the order of the full labeled walk.  The prefixes are
+    filtered cheapest first: by sorted degree sequence, then by _invariant,
+    and only those that share both with a dirty representative are keyed
+    by canonical form.
     """
     _check_search_order(n, force)
     violations: list[str] = []
@@ -1047,12 +1048,19 @@ def _sweep(n: int, check, force: bool) -> SweepResult:
             violations.clear()
     if dirty:
         k = max(n - 2, 0)
+
+        def degrees(rows) -> tuple[int, ...]:
+            return tuple(sorted(map(int.bit_count, rows)))
+
+        sequences = {degrees(rep) for rep in dirty}
         wanted = {_invariant(rep, k) for rep in dirty}
         keys = {_canonical_columns(rep, k) for rep in dirty}
         labeled = (
             (prefix, 1, _conflicts(prefix, k))
             for prefix in _prefixes(k)
-            if _invariant(prefix, k) in wanted and _canonical_columns(prefix, k) in keys
+            if degrees(prefix) in sequences
+            and _invariant(prefix, k) in wanted
+            and _canonical_columns(prefix, k) in keys
         )
         for _, rows, deg, conflict, _ in _visits(n, labeled, _every_pick):
             _check_picks(check, n, rows, deg, conflict, violations)

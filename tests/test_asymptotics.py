@@ -513,6 +513,36 @@ def test_best_biclique_split_large_orders_pinned():
         assert best_biclique_split(n, p) == expected, (n, p)
 
 
+def test_best_biclique_split_bound_covers_every_interval(monkeypatch):
+    # the bound handed to _first_argmax must be at least g on every
+    # interval of 1..n//2, and the mean-value part must make it cut the
+    # flat maximum at p = 3, which the product bound alone never could
+    from degpow import asymptotics
+
+    first_argmax = asymptotics._first_argmax
+    seen = []
+
+    def captured(value, upper, lo, hi):
+        found = first_argmax(value, upper, lo, hi)
+        seen.append((value, upper, lo, hi, found[2]))
+        return found
+
+    monkeypatch.setattr(asymptotics, "_first_argmax", captured)
+    for n in (*range(2, 41), 97, 128):
+        for p in range(1, 9):
+            seen.clear()
+            best_biclique_split(n, p)
+            ((value, upper, lo, hi, _),) = seen
+            for i in range(lo, hi + 1):
+                top = value(i)
+                for j in range(i, hi + 1):
+                    top = max(top, value(j))
+                    assert upper(i, j) >= top, (n, p, i, j)
+    seen.clear()
+    assert best_biclique_split(10**6, 3) == LARGE_SPLITS[(1_000_000, 3)]
+    assert seen[0][-1] < 5_000  # points scored; about 29,000 with the product bound alone
+
+
 def test_first_argmax_keeps_the_smallest_tied_maximizer():
     def check(values, lo=0):
         hi = lo + len(values) - 1

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from degpow.claims import CLAIMS
 from degpow.cli import main
 from degpow.constructions import GPrime, GStar, degree_profile
 from degpow.graphs import degree_sequence, from_graph6
@@ -270,9 +271,12 @@ def test_verify_honest_failure_exit(capsys):
 
 
 def test_verify_unknown_claim(capsys):
+    # verify --help does not list the claim ids, so the error must
     code, _, err = run_cli(capsys, "verify", "no-such-claim")
     assert code == 2
     assert "degpow: error" in err
+    for cid in CLAIMS:
+        assert cid in err
 
 
 def test_verify_invalid_exponent(capsys):
