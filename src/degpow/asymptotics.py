@@ -383,6 +383,44 @@ class FPositivityReport:
     evaluated: int  # grid points actually scored; the rest were bounded away
 
 
+_LEAF_WIDTH = 4  # intervals this narrow are scored point by point
+
+
+def _first_argmax(
+    value: Callable[[int], int], upper: Callable[[int, int], int], lo: int, hi: int
+) -> tuple[int, int, int]:
+    """Smallest i in [lo, hi] that maximizes value(i), exactly.
+
+    upper(i, j) must be at least value(k) for every k in [i, j].  Intervals
+    are taken highest bound first, halved, and scored point by point once
+    they are at most _LEAF_WIDTH wide.  An interval is dropped only when its
+    bound is strictly below the best value found so far, so every tied
+    maximizer is scored and the smallest index wins.
+
+    Returns (index, value, number of points scored).
+    """
+    best_i, best = lo, -math.inf  # the first leaf scored replaces it
+    scored = 0
+    heap = [(-upper(lo, hi), lo, hi)]
+    while heap:
+        neg_bound, i, j = heapq.heappop(heap)
+        if -neg_bound < best:
+            break  # every interval left is bounded below the best
+        if j - i < _LEAF_WIDTH:
+            for k in range(i, j + 1):
+                val = value(k)
+                if val > best or (val == best and k < best_i):
+                    best_i, best = k, val
+            scored += j - i + 1
+            continue
+        mid = (i + j) // 2
+        for a, b in ((i, mid), (mid + 1, j)):
+            bound = upper(a, b)
+            if bound >= best:
+                heapq.heappush(heap, (-bound, a, b))
+    return best_i, best, scored
+
+
 def verify_f_positive(p: int, step: RationalLike) -> FPositivityReport:
     """Exact minimum of f on the grid a = 1/2, 1/2+step, ..., 1-step and
     y = step, 2*step, ..., <= 1-a.
@@ -399,6 +437,11 @@ def verify_f_positive(p: int, step: RationalLike) -> FPositivityReport:
     is the full grid's.  Ties go to the smallest y in a row and the earliest
     row across rows, as in a point-by-point scan.  `grid_points` counts the
     whole grid; `evaluated` counts the points actually scored.
+
+    In fact h is strictly decreasing on each row, so its row maximum lies
+    at y = step: h'(y) = (R-y)^(p-1)((R-y) - p(y+a)) - a^p < 0 on
+    0 < y <= R, because R - y < 1/2 <= a < p(y+a) makes the first term
+    at most 0 and a^p > 0.  The branch and bound does not rely on this.
     """
     if p < 1:
         raise ValueError(f"exponent p must be >= 1, got {p}")
@@ -478,22 +521,43 @@ def split_constant(p: int, tol: float = 1e-9) -> SplitConstant:
     """Exact bracket, at most tol wide, around c(p), the argmax of
     f(x) = x(1-x)^p + x^p(1-x) on [1/2, 1].
 
-    With t = x(1-x), f = F(t) = t*q_{p-1}(t), where q_m(t) = x^m + (1-x)^m
-    has q_0 = 2, q_1 = 1 and q_m = q_{m-1} - t*q_{m-2}, so F' has integer
-    coefficients.  As x runs over [1/2, 1], t falls from 1/4 to 0, so f'(x)
-    and F'(t) have opposite signs, and F'(0) > 0.  Descartes' rule bounds
-    the roots of F' in (0, 1/4) by the sign changes of (1+w)^d F'(1/(4(1+w))),
-    a Taylor shift of the reversed, scaled F', and a count of 0 or 1 is
-    exact (Collins-Akritas 1976).  With 0 (p <= 3), f falls on (1/2, 1], so
-    c = 1/2.  With 1, f rises and then falls, and x is bisected over dyadic
-    rationals on the exact sign of F' at t = m(2^e - m)/4^e, m odd; F'(0) =
-    1, so by the rational root theorem no such t is a root.  More sign changes
-    (none for p <= 2000) leave [1/2, 1] whole and the bracket uncertified.
+    With a Descartes count of 0 (p <= 3, see _split_slope), f falls on
+    (1/2, 1], so c = 1/2.  With 1, f rises and then falls, and x is
+    bisected over dyadic rationals on the exact sign of f' (_slope_sign);
+    F'(0) = 1, so by the rational root theorem no t = m(2^e - m)/4^e with
+    m odd is a root of F'.  More sign changes (none for p <= 2000) leave
+    [1/2, 1] whole and the bracket uncertified.
     """
     if p < 1:
         raise ValueError(f"exponent p must be >= 1, got {p}")
     if not 0 < tol < 1e-2:
         raise ValueError(f"tol must be in (0, 1e-2), got {tol}")
+    slope, changes = _split_slope(p)
+    m, e = 1, 1  # the bracket is [m, m + 1] / 2^e
+    while changes == 1 and 2.0 ** -e > tol:
+        m, e = 2 * m, e + 1
+        if _slope_sign(slope, m + 1, 1 << e) > 0:
+            m += 1
+    ends = (m, m + (changes > 0))
+    lo, hi = (Fraction(k, 1 << e) for k in ends)
+    slopes = tuple(_slope_sign(slope, k, 1 << e) for k in ends)
+    return SplitConstant(lo, hi, changes, slopes)
+
+
+def _split_slope(p: int) -> tuple[list[int], int]:
+    """F' and the Descartes count for its roots in (0, 1/4), for the
+    f(x) = x(1-x)^p + x^p(1-x) of split_constant.
+
+    With t = x(1-x), f = F(t) = t*q_{p-1}(t), where q_m(t) = x^m + (1-x)^m
+    has q_0 = 2, q_1 = 1 and q_m = q_{m-1} - t*q_{m-2}, so F' has integer
+    coefficients, returned low power first.  As x runs over [1/2, 1], t
+    falls from 1/4 to 0, so f'(x) and F'(t) have opposite signs, and
+    F'(0) > 0.  Descartes' rule bounds the roots of F' in (0, 1/4) by the
+    sign changes of (1+w)^d F'(1/(4(1+w))), a Taylor shift of the
+    reversed, scaled F', and a count of 0 or 1 is exact (Collins-Akritas
+    1976): f' < 0 on (1/2, 1] with 0, and with 1, f' > 0 on (1/2, c) and
+    f' < 0 on (c, 1].
+    """
     q_prev, q = [2], [1]  # q_0 and q_1, low power first
     for _ in range(p - 1):
         q_prev, q = q, [a - b for a, b in itertools.zip_longest(q, [0, *q_prev], fillvalue=0)]
@@ -504,16 +568,7 @@ def split_constant(p: int, tol: float = 1e-9) -> SplitConstant:
         for j in range(d - 1, i - 1, -1):
             shifted[j] += shifted[j + 1]
     signs = [c > 0 for c in shifted if c]
-    changes = sum(a != b for a, b in zip(signs, signs[1:]))
-    m, e = 1, 1  # the bracket is [m, m + 1] / 2^e
-    while changes == 1 and 2.0 ** -e > tol:
-        m, e = 2 * m, e + 1
-        if _slope_sign(slope, m + 1, 1 << e) > 0:
-            m += 1
-    ends = (m, m + (changes > 0))
-    lo, hi = (Fraction(k, 1 << e) for k in ends)
-    slopes = tuple(_slope_sign(slope, k, 1 << e) for k in ends)
-    return SplitConstant(lo, hi, changes, slopes)
+    return slope, sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _slope_sign(slope: list[int], num: int, den: int) -> int:
@@ -543,32 +598,14 @@ def best_biclique_split(n: int, p: int) -> tuple[int, int]:
     Returns (b, value) with the b >= n/2 representative of the symmetric
     maximum, so b/n lands near c(p) for large n.
 
-    The smaller side b runs over 1..n//2 and g(b) = b(n-b)^p + (n-b)b^p is
-    maximized by an exact branch and bound; a range is dropped only when
-    its bound is strictly below the best g found.  On [i, j] the bound is
-    the smaller of two:
-
-    - j(n-i)^p + (n-i)j^p, since each term of g is an increasing factor
-      times a decreasing one;
-    - g(i) + (j-i) max(0, D), with D an integer upper bound on g' over
-      the real interval [i, j]: by the mean value theorem, g(k) <= g(i) +
-      (k-i)D <= g(i) + (j-i) max(0, D) for i <= k <= j.
-
-    D is built term by term from g'(b) = (n-b)^p - p b(n-b)^(p-1) +
-    p(n-b)b^(p-1) - b^p on [i, j], within [1, n/2]:
-
-    - (n-b)^p and -b^p are decreasing, so each is largest at b = i;
-    - b(n-b)^(p-1) has derivative (n-b)^(p-2)(n - pb), so it rises up to
-      n/p and falls after: it is unimodal, and its minimum over [i, j] is
-      at an end;
-    - (n-b)b^(p-1) is decreasing for p = 1 and, for p >= 2, has derivative
-      b^(p-2)((p-1)n - pb) >= 0 up to (p-1)n/p >= n/2, so it is monotone
-      on [i, j] and its maximum is at an end.
-
-    The first bound is loose near n/2, where g is flat (to fourth order at
-    p = 3) while the bound exceeds g by about (j-i)n^p; the second exceeds g
-    there by a term of order (j-i)^2 p^2 n^(p-1).  Among tied maxima the
-    smallest b wins, so the returned side n - b is the largest tied one.
+    g(b) = b(n-b)^p + (n-b)b^p = n^(p+1) f(b/n) with the f of
+    split_constant, so g' has the sign of f' at b/n.  With a Descartes
+    count of 0 or 1 (_split_slope), f' >= 0 on [1/2, c(p)] and f' < 0 on
+    (c(p), 1], so b is bisected over [ceil(n/2), n-1] for the last b with
+    f'(b/n) >= 0: g rises up to it and falls from b + 1 on, so one of
+    those two is the maximum.  Without any such b, g falls from ceil(n/2)
+    on.  A larger count (none for p <= 2000) scores every b, which is
+    still exact.  Among tied maxima the largest b wins.
     """
     if n < 2:
         raise ValueError(f"need n >= 2 to split, got {n}")
@@ -578,55 +615,21 @@ def best_biclique_split(n: int, p: int) -> tuple[int, int]:
     def g(b: int) -> int:
         return b * (n - b) ** p + (n - b) * b ** p
 
-    def g_upper(i: int, j: int) -> int:
-        ni, nj = n - i, n - j
-        slope = (
-            ni ** p - i ** p
-            - p * min(i * ni ** (p - 1), j * nj ** (p - 1))
-            + p * max(ni * i ** (p - 1), nj * j ** (p - 1))
-        )
-        return min(j * ni ** p + ni * j ** p, g(i) + (j - i) * max(0, slope))
-
-    b, value, _ = _first_argmax(g, g_upper, 1, n // 2)
-    return n - b, value
-
-
-_LEAF_WIDTH = 4  # intervals this narrow are scored point by point
-
-
-def _first_argmax(
-    value: Callable[[int], int], upper: Callable[[int, int], int], lo: int, hi: int
-) -> tuple[int, int, int]:
-    """Smallest i in [lo, hi] that maximizes value(i), exactly.
-
-    upper(i, j) must be at least value(k) for every k in [i, j].  Intervals
-    are taken highest bound first, halved, and scored point by point once
-    they are at most _LEAF_WIDTH wide.  An interval is dropped only when its
-    bound is strictly below the best value found so far, so every tied
-    maximizer is scored and the smallest index wins.
-
-    Returns (index, value, number of points scored).
-    """
-    best_i, best = lo, -math.inf  # the first leaf scored replaces it
-    scored = 0
-    heap = [(-upper(lo, hi), lo, hi)]
-    while heap:
-        neg_bound, i, j = heapq.heappop(heap)
-        if -neg_bound < best:
-            break  # every interval left is bounded below the best
-        if j - i < _LEAF_WIDTH:
-            for k in range(i, j + 1):
-                val = value(k)
-                if val > best or (val == best and k < best_i):
-                    best_i, best = k, val
-            scored += j - i + 1
-            continue
-        mid = (i + j) // 2
-        for a, b in ((i, mid), (mid + 1, j)):
-            bound = upper(a, b)
-            if bound >= best:
-                heapq.heappush(heap, (-bound, a, b))
-    return best_i, best, scored
+    slope, changes = _split_slope(p)
+    first = (n + 1) // 2
+    if changes > 1:
+        candidates = range(first, n)
+    else:
+        lo, hi = first - 1, n - 1  # the last b with f'(b/n) >= 0, or first - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if _slope_sign(slope, mid, n) >= 0:
+                lo = mid
+            else:
+                hi = mid - 1
+        candidates = range(max(lo, first), min(lo + 2, n))
+    value, b = max((g(b), b) for b in candidates)
+    return b, value
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from typing import Callable, Optional
 
 from .asymptotics import (
     RationalLike,
+    _check_half_open,
     _frac,
     best_biclique_split,
     case31_leading_coefficient,
@@ -169,12 +170,13 @@ def claim_case31(*, p: int = 2, a: RationalLike = Fraction(1, 2), y: RationalLik
 
 def claim_case32(*, p: int = 2, a: Optional[RationalLike] = None) -> dict:
     """(1-a)^p - a^p <= 0 once a >= 1/2: extra hub-side neighbors at the
-    omega*n^p scale cannot help."""
+    omega*n^p scale cannot help.  A given a must satisfy 1/2 <= a < 1."""
     _check_p(p)
     grid = [_frac(a)] if a is not None else [Fraction(k, 16) for k in range(8, 16)]
     values = {}
     ok = True
     for av in grid:
+        _check_half_open(av, "a")
         val = subcase32_omega_coefficient(av, p)
         values[_s(av)] = _s(val)
         ok = ok and val <= 0

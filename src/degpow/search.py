@@ -25,8 +25,8 @@ one-to-one onto the completions of its image, keeping e_p, C5-freeness,
 the isomorphism class and every property the sweeps test.  _prefix_orbits grows the orbits one vertex at a
 time and keeps one graph per class, making only the children whose new
 vertex has the maximum degree (canonical deletion, McKay, "Isomorph-free
-exhaustive generation", J. Algorithms 1998); that degree rule lives in one
-pick generator, _max_degree_picks.  A child is keyed by a cheap invariant
+exhaustive generation", J. Algorithms 1998); that degree rule is one
+filter on the twin picks, _max_degree_picks.  A child is keyed by a cheap invariant
 first, and by its canonical columns only when another child of its level
 shares that invariant: at n = 9 that labels 278 of the 536 children that
 make the 251 orbits of the 316,453 prefixes on 7 vertices, without listing
@@ -290,35 +290,19 @@ def _max_degree_picks(rows, j: int, conflict: list[int]) -> list[tuple[int, int]
     degree in G[0..j]: |S| is at least every degree of G[0..j-1] and above
     those of S's members, which S raises.  In the same order.
 
-    S is grown as in _picks, and a branch is dropped as soon as the
-    vertices still undecided cannot lift |S| to top, the top degree of
-    G[0..j-1], or to top + 1 once S holds a vertex of degree top.  Only
-    the picks that survive are weighed.  The picks that one twin pick
-    stands for are its images under automorphisms of G[0..j-1], so the
-    degree test passes for all of them or none.
+    The twin picks are filtered after the fact: S stays when |S| >= top,
+    the top degree of G[0..j-1], plus one if S holds a vertex of degree
+    top.  The picks that one twin pick stands for are its images under
+    automorphisms of G[0..j-1], so the test passes for all of them or
+    none, and only the picks that pass are weighed.
     """
     below = (1 << j) - 1
     degrees = [(rows[i] & below).bit_count() for i in range(j)]
     top = max(degrees, default=0)
     tops = sum(1 << i for i, d in enumerate(degrees) if d == top)
     smaller = _smaller_twins(rows, j)
-    picks = [(0, top)]  # (S, how many more members S needs)
-    for i, ends in enumerate(conflict):
-        bit = 1 << i
-        need = smaller[i]
-        undecided = j - i  # vertices i..j-1
-        grown = []
-        for s, goal in picks:
-            if not ends & s and not need & ~s:
-                # |S| grows by one, and so does the goal when S takes its
-                # first vertex of degree top
-                taken = goal if bit & tops and not s & tops else goal - 1
-                if taken < undecided:
-                    grown.append((s | bit, taken))
-            if goal < undecided:
-                grown.append((s, goal))
-        picks = grown
-    return _twin_weights(smaller, [s for s, goal in picks if goal <= 0])
+    picks = _picks(conflict, smaller)
+    return _twin_weights(smaller, [s for s in picks if s.bit_count() >= top + bool(s & tops)])
 
 
 def _exact_share(total: int, parts: int) -> int:

@@ -39,7 +39,7 @@ from degpow.asymptotics import (
     subcase32_omega_coefficient,
     verify_f_positive,
 )
-from degpow.claims import claim_optimizer
+from degpow.claims import claim_optimizer, run_claim
 
 HALF = Fraction(1, 2)
 A_GRID = [HALF, Fraction(3, 5), Fraction(7, 10)]
@@ -253,6 +253,19 @@ def test_case32_omega_coefficient_sign():
         assert subcase32_omega_coefficient(Fraction(1, 3), p) > 0
 
 
+def test_claim_case32_takes_a_only_in_its_domain():
+    # the coefficient itself takes any a; the claim, like case33, needs
+    # 1/2 <= a < 1
+    for a in (Fraction(1, 4), 0, 1, Fraction(3, 2)):
+        with pytest.raises(ValueError, match="1/2 <= a < 1"):
+            run_claim("case32", p=2, a=a)
+        with pytest.raises(ValueError, match="1/2 <= a < 1"):
+            run_claim("case33", p=2, a=a)
+    report = run_claim("case32", p=2, a=HALF)
+    assert report["pass"] and report["witness"] == {"coefficients": {"1/2": "0"}}
+    assert len(run_claim("case32", p=3)["witness"]["coefficients"]) == 8
+
+
 def test_case33_leading_below_balanced_split():
     for p in (2, 4, 6):
         for a in (HALF, Fraction(3, 5)):
@@ -320,6 +333,19 @@ def test_verify_f_positive_matches_direct_evaluation():
             )
             assert report == expected, (p, step)
             assert 0 < report.evaluated <= report.grid_points
+
+
+def test_f_positivity_rows_rise_along_y():
+    # verify_f_positive's docstring proves h strictly decreasing on a row, so
+    # f = top(a) - h(y) rises along y and each row's minimum is at y = step
+    for p in range(1, 11):
+        for step in (HALF, Fraction(1, 3), Fraction(2, 7), Fraction(1, 16), Fraction(1, 40)):
+            a = HALF
+            while a <= 1 - step:
+                row = [f_value(a, k * step, p) for k in range(1, math.floor((1 - a) / step) + 1)]
+                assert all(x < y for x, y in zip(row, row[1:])), (p, step, a)
+                a += step
+            assert verify_f_positive(p, step).argmin[1] == step, (p, step)
 
 
 def test_verify_f_positive_scores_a_small_share_of_the_grid():
@@ -513,34 +539,57 @@ def test_best_biclique_split_large_orders_pinned():
         assert best_biclique_split(n, p) == expected, (n, p)
 
 
-def test_best_biclique_split_bound_covers_every_interval(monkeypatch):
-    # the bound handed to _first_argmax must be at least g on every
-    # interval of 1..n//2, and the mean-value part must make it cut the
-    # flat maximum at p = 3, which the product bound alone never could
+# b at orders far beyond a scan, as the interval branch and bound that
+# preceded the bisection found them
+HUGE_SPLITS = {
+    (10**50, 2): 5 * 10**49,
+    (10**50, 4): 78867513459481288225457439025097872782380087563506,
+    (10**50, 8): 88888851800597146335656085417417483476453884851800,
+    (10**400 + 7, 4): int(
+        "7886751345948128822545743902509787278238008756350634380093011632"
+        "4198883615146667284685769779287476261260435690256778383832832418"
+        "2499825413135275918682395608088015538650384263677995803350180779"
+        "1538775025520572111505538144417787091114869729952045078552767279"
+        "7693133650833108956330989824460839125109600845943639135493435015"
+        "7933697865054180524304920659972166298304084714785743972152891204"
+        "0273307646425668"
+    ),
+}
+
+
+def test_best_biclique_split_bisects_on_the_slope(monkeypatch):
+    # b is bisected on the exact sign of f' at b/n: at most one sign test
+    # per bit of n, also at p = 3, where g is flat to fourth order at n/2
     from degpow import asymptotics
 
-    first_argmax = asymptotics._first_argmax
-    seen = []
+    slope_sign = asymptotics._slope_sign
+    tested = []
 
-    def captured(value, upper, lo, hi):
-        found = first_argmax(value, upper, lo, hi)
-        seen.append((value, upper, lo, hi, found[2]))
-        return found
+    def counted(slope, num, den):
+        tested.append(num)
+        return slope_sign(slope, num, den)
 
-    monkeypatch.setattr(asymptotics, "_first_argmax", captured)
-    for n in (*range(2, 41), 97, 128):
-        for p in range(1, 9):
-            seen.clear()
-            best_biclique_split(n, p)
-            ((value, upper, lo, hi, _),) = seen
-            for i in range(lo, hi + 1):
-                top = value(i)
-                for j in range(i, hi + 1):
-                    top = max(top, value(j))
-                    assert upper(i, j) >= top, (n, p, i, j)
-    seen.clear()
-    assert best_biclique_split(10**6, 3) == LARGE_SPLITS[(1_000_000, 3)]
-    assert seen[0][-1] < 5_000  # points scored; about 29,000 with the product bound alone
+    monkeypatch.setattr(asymptotics, "_slope_sign", counted)
+    n = 10**6
+    for p in range(1, 9):
+        tested.clear()
+        # at p = 1, g = 2b(n - b) peaks at n/2
+        assert best_biclique_split(n, p) == LARGE_SPLITS.get((n, p), (n // 2, n * n // 2))
+        assert len(tested) <= n.bit_length(), (p, len(tested))
+    n = 10**50
+    assert best_biclique_split(n, 3) == (n // 2, n**4 // 8)
+    for (n, p), b in HUGE_SPLITS.items():
+        assert best_biclique_split(n, p) == (b, b * (n - b) ** p + (n - b) * b ** p), (n, p)
+        if p == 4:  # c(4) = (3 + sqrt(3))/6, and b is next to c(4) n
+            low = (3 * n + math.isqrt(3 * n * n)) // 6
+            assert b in (low, low + 1), n
+    # a Descartes count above 1 scores every b, with the same result
+    small = {(n, p): best_biclique_split(n, p) for n in range(2, 60) for p in range(1, 9)}
+    monkeypatch.setattr(asymptotics, "_split_slope", lambda p: ([], 2))
+    tested.clear()
+    for (n, p), expected in small.items():
+        assert best_biclique_split(n, p) == expected, (n, p)
+    assert not tested
 
 
 def test_first_argmax_keeps_the_smallest_tied_maximizer():

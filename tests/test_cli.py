@@ -279,6 +279,14 @@ def test_verify_unknown_claim(capsys):
         assert cid in err
 
 
+@pytest.mark.parametrize("claim", ["case32", "case33"])
+@pytest.mark.parametrize("a", ["1/4", "1"])
+def test_verify_hub_fraction_outside_its_domain_is_a_usage_error(capsys, claim, a):
+    code, out, err = run_cli(capsys, "verify", claim, "--a", a)
+    assert code == 2 and out == ""
+    assert "1/2 <= a < 1" in err
+
+
 def test_verify_invalid_exponent(capsys):
     assert run_cli(capsys, "verify", "leading-coeff", "--p", "0")[0] == 2
 
