@@ -278,10 +278,11 @@ def _cmd_sweep(args) -> int:
     if args.n_min < 0 or args.n_min > args.n_max:
         raise ValueError(f"need 0 <= n-min <= n-max, got {args.n_min}..{args.n_max}")
     stats = SearchStats() if args.stats else None
+    ps = list(dict.fromkeys(args.p))  # each exponent once, as in the report
     start = time.perf_counter()
     report = classification_report(
         range(args.n_min, args.n_max + 1),
-        args.p,
+        ps,
         force=args.force,
         stats=stats,
     )
@@ -289,7 +290,7 @@ def _cmd_sweep(args) -> int:
     payload = {
         "n_min": args.n_min,
         "n_max": args.n_max,
-        "p_values": list(args.p),
+        "p_values": ps,
         "report": report,
         "elapsed_ms": elapsed_ms,
     }

@@ -717,9 +717,10 @@ def classification_report(
     force: bool = False,
     stats: Optional[SearchStats] = None,
 ) -> list[dict]:
-    """Maximizer classification table over a grid of (n, p)."""
+    """Maximizer classification table over a grid of (n, p), one row per
+    distinct exponent, in first-seen order."""
     report = []
-    p_list = list(p_values)
+    p_list = list(dict.fromkeys(p_values))
     for n in n_values:
         per_p = search_extremal(n, p_list, force=force, stats=stats)
         for p in p_list:
@@ -761,28 +762,6 @@ def _components_of(rows, mask: int) -> list[int]:
     return comps
 
 
-def _decomposition_rows(rows, u: int) -> tuple[int, int, int, list[int], list[int]]:
-    # (non-star components of order >= 4, isolated, edge_pairs, other orders, masks)
-    mask = rows[u]
-    comps = _components_of(rows, mask)
-    isolated = 0
-    edge_pairs = 0
-    other: list[int] = []
-    non_stars = 0
-    for comp in comps:
-        size = comp.bit_count()
-        if size == 1:
-            isolated += 1
-            continue
-        if size == 2:
-            edge_pairs += 1
-            continue
-        other.append(size)
-        if size >= 4 and not _is_star(rows, comp, size):
-            non_stars += 1
-    return non_stars, isolated, edge_pairs, other, comps
-
-
 def _is_star(rows, comp: int, size: int) -> bool:
     # among connected graphs on >= 4 vertices, exactly the stars avoid a
     # 4-vertex path; 2e == 2(size-1) and max degree size-1 pins them down
@@ -811,15 +790,16 @@ def neighborhood_decomposition(g: SmallGraph, u: int) -> DecompositionReport:
     """
     if not 0 <= u < g.order:
         raise ValueError(f"vertex {u} out of range for order {g.order}")
-    _, isolated, edge_pairs, other, comps = _decomposition_rows(g.rows, u)
+    comps = _components_of(g.rows, g.rows[u])
+    sizes = [comp.bit_count() for comp in comps]
     neighborhood = induced_subgraph(g, g.neighbors(u))
     valid = not contains_path_order(neighborhood, 4)
     return DecompositionReport(
         hub=u,
         valid=valid,
-        isolated=isolated,
-        edge_pairs=edge_pairs,
-        other_orders=tuple(sorted(other)),
+        isolated=sizes.count(1),
+        edge_pairs=sizes.count(2),
+        other_orders=tuple(sorted(size for size in sizes if size > 2)),
         component_masks=tuple(comps),
     )
 
@@ -835,51 +815,81 @@ class ObservationReport:
 
 
 def _validate_observation_rows(rows, n: int, u: int) -> tuple[list[str], list[str], int, int]:
+    """(failures, flags, outside vertices, outside edges) of the attachment
+    observations at hub u of the graph on n vertices held in rows.
+
+    The outside vertices, all but u and N(u), are walked as the bits of one
+    mask.  A vertex whose attachments miss every component of G[N(u)] of
+    order >= 2 touches only singletons, the pendant gadgets, and is settled
+    by one AND; it is flagged when it hits two or more.  One hit on a larger
+    gadget passes too.  Only a vertex that hits a larger gadget and some
+    other vertex needs the components.  An outside edge fails unless an end
+    has no attachment or both ends share the same single one, so only the
+    edges between attached vertices are walked, as rows[w1] & attached
+    above w1.
+    """
     nmask = rows[u]
-    comps = _components_of(rows, nmask)
+    outside = ((1 << n) - 1) & ~nmask & ~(1 << u)
+    reach = 0  # the neighbours of N(u); within N(u), the vertices of larger gadgets
+    m = nmask
+    while m:
+        b = m & -m
+        m ^= b
+        reach |= rows[b.bit_length() - 1]
+    singles = nmask & ~reach
+    gadgets = None  # the components of order >= 2, listed on first need
     failures: list[str] = []
     flags: list[str] = []
-    outside = [w for w in range(n) if w != u and not (nmask >> w) & 1]
-    for w in outside:
-        tw = rows[w] & nmask
+    attached = 0
+    twice_edges = 0
+    m = outside
+    while m:
+        b = m & -m
+        m ^= b
+        w = b.bit_length() - 1
+        row = rows[w]
+        twice_edges += (row & outside).bit_count()
+        tw = row & nmask
         if not tw:
             continue
-        touched = [c for c in comps if c & tw]
-        if all(c.bit_count() == 1 for c in touched):
-            if len(touched) >= 2:
-                flags.append(f"w={w} attaches to {len(touched)} pendant gadgets")
+        attached |= b
+        several = tw & (tw - 1)
+        if not tw & reach:
+            if several:
+                flags.append(f"w={w} attaches to {tw.bit_count()} pendant gadgets")
             continue
-        if len(touched) == 1:
-            comp = touched[0]
-            hits = tw.bit_count()
-            if comp.bit_count() == 2:
-                continue  # one or both ends of a triangle gadget
-            if hits == 1:
-                continue
+        if not several:
+            continue
+        if gadgets is None:
+            gadgets = _components_of(rows, nmask & reach)
+        touched = (tw & singles).bit_count()
+        for comp in gadgets:
+            if comp & tw:
+                touched += 1
+                hit = comp
+        if touched > 1:
+            failures.append(f"w={w} attaches to {touched} gadgets, not all pendants")
+        elif hit.bit_count() != 2:  # one or both ends of a triangle gadget pass
             failures.append(
-                f"w={w} hits {hits} vertices of one order-{comp.bit_count()} gadget"
+                f"w={w} hits {tw.bit_count()} vertices of one order-{hit.bit_count()} gadget"
             )
-        else:
-            failures.append(
-                f"w={w} attaches to {len(touched)} gadgets, not all pendants"
-            )
-    edge_checks = 0
-    for i, w1 in enumerate(outside):
+    m = attached
+    while m:
+        b = m & -m
+        m ^= b
+        w1 = b.bit_length() - 1
         row1 = rows[w1]
-        for w2 in outside[i + 1:]:
-            if not (row1 >> w2) & 1:
-                continue
-            edge_checks += 1
-            t1 = row1 & nmask
+        t1 = row1 & nmask
+        later = row1 & attached & -(b << 1)
+        while later:
+            b2 = later & -later
+            later ^= b2
+            w2 = b2.bit_length() - 1
             t2 = rows[w2] & nmask
-            if not t1 or not t2:
+            if t1 == t2 and not t1 & (t1 - 1):
                 continue
-            if t1 == t2 and t1.bit_count() == 1:
-                continue
-            failures.append(
-                f"edge {w1}-{w2} outside the hub has attachments {t1:b} vs {t2:b}"
-            )
-    return failures, flags, len(outside), edge_checks
+            failures.append(f"edge {w1}-{w2} outside the hub has attachments {t1:b} vs {t2:b}")
+    return failures, flags, outside.bit_count(), twice_edges >> 1
 
 
 def validate_observations(g: SmallGraph, u: int) -> ObservationReport:
@@ -934,20 +944,28 @@ class SweepResult:
 
 def _check_validity(rows, deg, n: int, violations: list[str]) -> int:
     pairs = 0
-    for u in range(n):
-        if deg[u] >= 4:
-            pairs += 1
-            # one message per component that holds a 4-vertex path
-            for _ in range(_decomposition_rows(rows, u)[0]):
+    for u, d in enumerate(deg):
+        if d < 4:
+            continue
+        pairs += 1
+        nmask = rows[u]
+        if not _has_edge_within(rows, nmask):
+            continue
+        # one message per component that holds a 4-vertex path
+        for comp in _components_of(rows, nmask):
+            size = comp.bit_count()
+            if size >= 4 and not _is_star(rows, comp, size):
                 violations.append(f"{to_graph6(SmallGraph(n, tuple(rows)))} u={u}")
     return pairs
 
 
 def _check_observations(rows, deg, n: int, violations: list[str]) -> int:
     dmax = max(deg, default=0)
+    if dmax < 2:  # an edge in N(u) needs two neighbours
+        return 0
     pairs = 0
-    for u in range(n):
-        if deg[u] != dmax or not _has_edge_within(rows, rows[u]):
+    for u, d in enumerate(deg):
+        if d != dmax or not _has_edge_within(rows, rows[u]):
             continue
         pairs += 1
         failures, _, _, _ = _validate_observation_rows(rows, n, u)
@@ -960,14 +978,24 @@ def _check_completion(rows, deg, n: int, violations: list[str]) -> int:
     dmax = max(deg, default=0)
     if dmax == 0:
         return 0
+    # completing at u takes each neighbour of u to degree n - dmax and every
+    # other vertex to dmax, which no degree exceeds
+    after = n - dmax
     pairs = 0
-    for u in range(n):
+    for u, d in enumerate(deg):
+        if d != dmax:
+            continue
         nmask = rows[u]
-        if deg[u] != dmax or _has_edge_within(rows, nmask):
+        if _has_edge_within(rows, nmask):
             continue
         pairs += 1
-        for v in range(n):
-            after = n - dmax if (nmask >> v) & 1 else dmax
+        if after >= dmax:
+            continue
+        m = nmask
+        while m:
+            b = m & -m
+            m ^= b
+            v = b.bit_length() - 1
             if deg[v] > after:
                 violations.append(f"{to_graph6(SmallGraph(n, tuple(rows)))} u={u} v={v}")
     return pairs

@@ -306,6 +306,19 @@ def test_sweep_small_grid(capsys):
         assert entry["maximizer_classes"]
 
 
+def test_sweep_lists_a_repeated_exponent_once(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--n-min", "4", "--n-max", "4", "--p", "2", "2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["p_values"] == [2]
+    assert [(row["n"], row["p"]) for row in payload["report"]] == [(4, 2)]
+    code, out, _ = run_cli(capsys, "sweep", "--n-min", "4", "--n-max", "5", "--p", "3", "1", "3", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["p_values"] == [3, 1]
+    assert [(row["n"], row["p"]) for row in payload["report"]] == [(4, 3), (4, 1), (5, 3), (5, 1)]
+
+
 def test_sweep_rejects_inverted_range(capsys):
     assert run_cli(capsys, "sweep", "--n-min", "6", "--n-max", "4")[0] == 2
 

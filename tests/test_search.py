@@ -592,6 +592,11 @@ def test_classify_all_biclique_note():
         assert from_graph6(entry["graph6"]).edge_count() == entry["edge_count"] == 9
 
 
+def test_classification_report_lists_each_exponent_once():
+    report = search.classification_report([4, 5], [3, 1, 3, 1])
+    assert [(row["n"], row["p"]) for row in report] == [(4, 3), (4, 1), (5, 3), (5, 1)]
+
+
 def test_max_degree_ratio_exact():
     from fractions import Fraction
 
@@ -791,6 +796,218 @@ def test_sweep_bipartite_completion_agrees_with_public_api():
                     after = degree_sequence(bipartite_completion(g, u))
                     assert all(a >= d for a, d in zip(after, degs))
         assert (sweep.graphs, sweep.pairs_checked) == (enumerate_c5_free(n), pairs), n
+
+
+# ---------------------------------------------------------------------------
+# leaf-check kernels against brute-force references
+
+
+def _reference_observation_rows(rows, n, u):
+    """The attachment observations, one outside vertex and one pair of
+    outside vertices at a time."""
+    nmask = rows[u]
+    comps = search._components_of(rows, nmask)
+    failures, flags = [], []
+    outside = [w for w in range(n) if w != u and not (nmask >> w) & 1]
+    for w in outside:
+        tw = rows[w] & nmask
+        if not tw:
+            continue
+        touched = [c for c in comps if c & tw]
+        if all(c.bit_count() == 1 for c in touched):
+            if len(touched) >= 2:
+                flags.append(f"w={w} attaches to {len(touched)} pendant gadgets")
+            continue
+        if len(touched) == 1:
+            comp = touched[0]
+            hits = tw.bit_count()
+            if comp.bit_count() == 2 or hits == 1:
+                continue
+            failures.append(f"w={w} hits {hits} vertices of one order-{comp.bit_count()} gadget")
+        else:
+            failures.append(f"w={w} attaches to {len(touched)} gadgets, not all pendants")
+    edge_checks = 0
+    for i, w1 in enumerate(outside):
+        for w2 in outside[i + 1:]:
+            if not (rows[w1] >> w2) & 1:
+                continue
+            edge_checks += 1
+            t1, t2 = rows[w1] & nmask, rows[w2] & nmask
+            if not t1 or not t2 or t1 == t2 and t1.bit_count() == 1:
+                continue
+            failures.append(f"edge {w1}-{w2} outside the hub has attachments {t1:b} vs {t2:b}")
+    return failures, flags, len(outside), edge_checks
+
+
+def _reference_decomposition_rows(rows, u):
+    """(components of order >= 4 that are not stars, isolated, edge pairs,
+    other orders, component masks) of G[N(u)]."""
+    comps = search._components_of(rows, rows[u])
+    non_stars = isolated = edge_pairs = 0
+    other = []
+    for comp in comps:
+        size = comp.bit_count()
+        if size == 1:
+            isolated += 1
+        elif size == 2:
+            edge_pairs += 1
+        else:
+            other.append(size)
+            if size >= 4 and not search._is_star(rows, comp, size):
+                non_stars += 1
+    return non_stars, isolated, edge_pairs, other, comps
+
+
+def _reference_validity(rows, deg, n, violations):
+    pairs = 0
+    for u in range(n):
+        if deg[u] >= 4:
+            pairs += 1
+            for _ in range(_reference_decomposition_rows(rows, u)[0]):
+                violations.append(f"{to_graph6(SmallGraph(n, tuple(rows)))} u={u}")
+    return pairs
+
+
+def _has_edge_among(rows, mask):
+    return any(rows[v] & mask for v in range(len(rows)) if (mask >> v) & 1)
+
+
+def _reference_observations(rows, deg, n, violations, observed):
+    """observed[u]: _reference_observation_rows at hub u."""
+    dmax = max(deg, default=0)
+    pairs = 0
+    for u in range(n):
+        if deg[u] != dmax or not _has_edge_among(rows, rows[u]):
+            continue
+        pairs += 1
+        for msg in observed[u][0]:
+            violations.append(f"{to_graph6(SmallGraph(n, tuple(rows)))} u={u}: {msg}")
+    return pairs
+
+
+def _reference_completion(rows, deg, n, violations):
+    dmax = max(deg, default=0)
+    if dmax == 0:
+        return 0
+    pairs = 0
+    for u in range(n):
+        nmask = rows[u]
+        if deg[u] != dmax or _has_edge_among(rows, nmask):
+            continue
+        pairs += 1
+        for v in range(n):
+            after = n - dmax if (nmask >> v) & 1 else dmax
+            if deg[v] > after:
+                violations.append(f"{to_graph6(SmallGraph(n, tuple(rows)))} u={u} v={v}")
+    return pairs
+
+
+def _check_kernels_against_references(rows, n):
+    """Assert that the observation kernel at every hub and the three leaf
+    checks report what their references do on one graph; return which of
+    them reported something."""
+    observed = [_reference_observation_rows(rows, n, u) for u in range(n)]
+    for u, expected in enumerate(observed):
+        assert search._validate_observation_rows(rows, n, u) == expected, (rows, u)
+    deg = [row.bit_count() for row in rows]
+    found = {
+        "failures": any(failures for failures, _, _, _ in observed),
+        "flags": any(flags for _, flags, _, _ in observed),
+    }
+    for kernel, reference in (
+        (search._check_validity, _reference_validity),
+        (search._check_observations,
+         lambda *args: _reference_observations(*args, observed)),
+        (search._check_completion, _reference_completion),
+    ):
+        got, expected = [], []
+        pairs = kernel(rows, deg, n, got)
+        assert (pairs, got) == (reference(rows, deg, n, expected), expected), (
+            kernel.__name__, rows)
+        found[kernel.__name__] = bool(expected)
+    return found
+
+
+def test_leaf_checks_match_their_references_on_every_small_graph():
+    # every labeled graph on up to 6 vertices, 5-cycles and all, so that
+    # each failure branch of the kernels runs
+    seen = {}
+    for n in range(0, 7):
+        for g in all_graphs(n):
+            for name, hit in _check_kernels_against_references(g.rows, n).items():
+                seen[name] = seen.get(name, 0) + hit
+    # graphs on which each reference reported something.  Completion never
+    # does: with N(u) independent, a neighbour of u has all its neighbours
+    # among the n - dmax vertices outside N(u), and any other vertex has at
+    # most dmax
+    assert seen == {
+        "failures": 19026, "flags": 10493,
+        "_check_validity": 11075, "_check_observations": 12180, "_check_completion": 0,
+    }
+
+
+def _random_rows(rng, n, density, c5_free):
+    """A seeded random graph on n vertices; with c5_free, its edges are
+    added in random order and those that would close a 5-cycle skipped."""
+    rows = [0] * n
+    for a, b in rng.sample(list(itertools.combinations(range(n), 2)), n * (n - 1) // 2):
+        if rng.random() >= density or c5_free and search._creates_c5(rows, a, b):
+            continue
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    return rows
+
+
+def test_leaf_checks_match_their_references_on_random_graphs():
+    rng = random.Random(17)
+    seen = {}
+    for n in range(7, 13):
+        for i in range(200):
+            rows = _random_rows(rng, n, rng.uniform(0.1, 0.9), c5_free=i % 2)
+            for name, hit in _check_kernels_against_references(rows, n).items():
+                seen[name] = seen.get(name, 0) + hit
+            g = SmallGraph(n, tuple(rows))
+            u = rng.randrange(n)
+            rep = neighborhood_decomposition(g, u)
+            _, isolated, edge_pairs, other, comps = _reference_decomposition_rows(rows, u)
+            assert (rep.isolated, rep.edge_pairs, rep.other_orders, rep.component_masks) == (
+                isolated, edge_pairs, tuple(sorted(other)), tuple(comps))
+    assert seen.pop("_check_completion") == 0
+    assert all(seen.values()), seen
+
+
+class _ReadLog(list):
+    """A list that logs the positions read by index."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = []
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return super().__getitem__(i)
+
+
+def test_completion_reads_a_degree_only_where_one_could_drop():
+    # completing at u takes a neighbour of u to degree n - dmax, so no
+    # degree can drop when 2 dmax <= n; otherwise the check reads the
+    # degrees of N(u), in order, at each hub with an independent N(u)
+    scanned = 0
+    for n in range(0, 7):
+        for g in all_graphs(n):
+            rows = g.rows
+            degrees = [row.bit_count() for row in rows]
+            dmax = max(degrees, default=0)
+            expected = []
+            if 2 * dmax > n:
+                for u in range(n):
+                    if degrees[u] == dmax and not _has_edge_among(rows, rows[u]):
+                        expected += [v for v in range(n) if (rows[u] >> v) & 1]
+            deg = _ReadLog(degrees)
+            search._check_completion(rows, deg, n, [])
+            assert deg.read == expected, rows
+            scanned += bool(expected)
+    assert scanned == 633
 
 
 SWEEPS = (sweep_neighborhood_validity, sweep_observations, sweep_bipartite_completion)
