@@ -63,8 +63,8 @@ def claim_turan_closed_form(*, p: int = 2, n: Optional[int] = None) -> dict:
     checked = 0
     first_bad = None
     for m in ns:
-        if m < 1:
-            raise ValueError(f"order must be >= 1, got {m}")
+        if m < 2:  # the 2-partite Turan graph needs two classes
+            raise ValueError(f"order must be >= 2, got {m}")
         lhs = ep_turan2_closed_form(m, p)
         rhs = degree_profile(Turan(m, 2)).power_sum(p)
         checked += 1

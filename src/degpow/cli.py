@@ -10,10 +10,10 @@ Imports are deferred.  Each handler imports the engine names it uses from
 their home modules when it runs, and main imports CapacityError only after
 parsing, so `--help` loads no engine module and each command loads only the
 modules it runs; where no bytecode cache is written, every start compiles
-what it loads.  The engine names the handlers use stay readable as
-degpow.cli.<name> through the module __getattr__ below, because tools wrap
-them there (benchmarks/layers.py wraps cli.search_extremal and
-cli.optimize_c); the handlers call whatever the home module holds.
+what it loads.  Three engine names stay readable as degpow.cli.<name>
+through the module __getattr__ below: search_extremal and optimize_c,
+which benchmarks/layers.py wraps there, and CapacityError.  The handlers
+call whatever the home module holds.
 """
 
 from __future__ import annotations
@@ -25,14 +25,7 @@ import time
 from importlib import import_module
 from typing import Optional, Sequence
 
-_ENGINE = {
-    "asymptotics": ("optimize_c", "split_objective"),
-    "claims": ("CLAIMS", "run_all", "run_claim"),
-    "constructions": ("_SPEC_SHAPES", "build", "degree_profile", "parse_spec", "spec_name"),
-    "graphs": ("CapacityError", "to_graph6"),
-    "search": ("SearchStats", "classification_report", "search_extremal"),
-}
-_HOME = {name: module for module, names in _ENGINE.items() for name in names}
+_HOME = {"optimize_c": "asymptotics", "CapacityError": "graphs", "search_extremal": "search"}
 
 
 def __getattr__(name: str):

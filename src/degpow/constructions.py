@@ -182,15 +182,8 @@ def degree_profile(spec: ConstructionSpec) -> DegreeProfile:
 
 
 def spec_order(spec: ConstructionSpec) -> int:
-    if isinstance(spec, (Turan, GPrime, GStar)):
-        return spec.n
-    if isinstance(spec, CompleteBipartite):
-        return spec.a + spec.b
-    if isinstance(spec, JoinCliqueEmpty):
-        return spec.k + spec.m
-    if isinstance(spec, HubAttachment):
-        return 1 + spec.pendants + 2 * spec.triangles
-    raise TypeError(f"unknown construction spec: {spec!r}")
+    """The number of vertices of the construction."""
+    return degree_profile(spec).order
 
 
 # ---------------------------------------------------------------------------

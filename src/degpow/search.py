@@ -10,8 +10,8 @@ exactly when two members of S end a path a-x-y-b on four distinct vertices
 of G[0..j-1].  The search and the sweeps therefore add one vertex at a
 time, by one child step (_children): each graph on j vertices keeps those
 path ends, updated from its parent's (_conflicts_after), so each include
-test is one AND.  Taking the bits of S include-first (_picks) reproduces
-the reference's leaf order, so ties and violation lists come out the same.
+test is one AND.  Taking the bits of S include-first (_picks) follows
+the reference's leaf order.
 Labeled counts grow fast (9,369,687 at n = 8), which is why the leaf work
 is all bitmask arithmetic on raw adjacency rows; the SmallGraph API
 appears only at the edges of the module.
@@ -41,11 +41,10 @@ size times the picks it stands for, so `visited`, `graphs` and
 e_p of the book graph and of the best K_{b,n-b}, as the constructions
 give them, scores the picks of the last vertex only for the exponents
 that may still reach their incumbent, and otherwise just counts them; a
-sweep checks them in place (_check_picks).  Violations name labeled
-graphs, so a sweep walks the prefixes of a class again, in _prefixes order
-and picked by canonical form, only when its representative shows one: each
-prefix is then a class of its own, completed by the same visit step as the
-classes (_visits).  Everything runs in one process.
+sweep checks them in place (_check_picks) and counts the violations they
+show, weighted like the graphs.  Violations name labeled graphs, so a
+sweep that counts any lists them with the labeled reference, _run_tree,
+which must find exactly as many.  Everything runs in one process.
 """
 
 from __future__ import annotations
@@ -308,7 +307,8 @@ def _max_degree_picks(rows, j: int, conflict: list[int]) -> list[tuple[int, int]
 def _exact_share(total: int, parts: int) -> int:
     """total / parts, which the orbit-counting arguments make exact."""
     share, rest = divmod(total, parts)
-    assert not rest, (total, parts)
+    if rest:
+        raise ArithmeticError(f"{total} / {parts} is not exact")
     return share
 
 
@@ -326,11 +326,11 @@ def _invariant(rows, j: int) -> tuple[tuple[int, int], ...]:
 
 
 def _children(orbits, j: int, picks):
-    """(rep, child, count, conflict) for each (rep, size, conflict) in
-    orbits, a representative on vertices 0..j-1 with its path ends
-    _conflicts(rep, j), and each (S, weight) in picks(rep, j, conflict):
-    child is a new row list, rep with vertex j joined to S, and count =
-    size * weight the labeled graphs it stands for."""
+    """(child, count, conflict) for each (rep, size, conflict) in orbits, a
+    representative on vertices 0..j-1 with its path ends _conflicts(rep, j),
+    and each (S, weight) in picks(rep, j, conflict): child is a new row
+    list, rep with vertex j joined to S, and count = size * weight the
+    labeled graphs it stands for."""
     members = _bit_lists(j)
     j_bit = 1 << j
     for rep, size, conflict in orbits:
@@ -338,7 +338,7 @@ def _children(orbits, j: int, picks):
             child = [*rep, s]
             for i in members[s]:
                 child[i] |= j_bit
-            yield rep, child, size * weight, conflict
+            yield child, size * weight, conflict
 
 
 def _prefix_orbits(
@@ -379,7 +379,7 @@ def _prefix_orbits(
         last = j - 1
         children = []  # (child, labeled members it counts, parent's path ends, invariant)
         shared: dict[tuple, int] = {}  # invariant -> children that have it
-        for _, child, count, conflict in _children(orbits, last, _max_degree_picks):
+        for child, count, conflict in _children(orbits, last, _max_degree_picks):
             invariant = _invariant(child, j)
             shared[invariant] = shared.get(invariant, 0) + 1
             children.append((tuple(child), count, conflict, invariant))
@@ -403,48 +403,32 @@ def _prefix_orbits(
     return orbits
 
 
-def _visits(n: int, orbits, picks):
-    """Yield (rep, rows, deg, conflict, weight) once for each graph G on the
-    first n - 1 vertices made from orbits, (rep, size, path ends) with rep
-    on vertices 0..k-1, k = max(n - 2, 0): the _children at vertex n - 2 of
-    each rep through picks.  Below n = 2 there is no vertex n - 2, and rep
-    itself is G.
+def _walk_classes(n: int, picks, stats: Optional[SearchStats] = None):
+    """Yield (rows, deg, conflict, weight) once for each graph G on the first
+    n - 1 vertices that the classes of _prefix_orbits(k), k = max(n - 2, 0),
+    complete: the _children at vertex n - 2 of each representative through
+    picks, _twin_picks for the sweeps and _max_degree_picks for the search.
+    Below n = 2 there is no vertex n - 2, and the one representative is G.
 
     rows and deg are new lists that hold G padded to n vertices, conflict
-    is _conflicts(rows, n - 1), and weight is the size times the weight of
-    the pick.
-    """
-    if n < 2:
-        for rep, size, conflict in orbits:
-            yield rep, [0] * n, [0] * n, conflict, size
-        return
-    k = n - 2
-    for rep, rows, weight, conflict in _children(orbits, k, picks):
-        rows.append(0)  # vertex n - 1, not joined yet
-        deg = [row.bit_count() for row in rows]
-        yield rep, rows, deg, _conflicts_after(rows, k, conflict), weight
-
-
-def _every_pick(rows, j: int, conflict: list[int]) -> list[tuple[int, int]]:
-    """(S, 1) for each pick S of _picks: the picks of a labeled prefix that
-    stands for itself alone."""
-    return [(s, 1) for s in _picks(conflict)]
-
-
-def _walk_classes(n: int, picks, stats: Optional[SearchStats] = None):
-    """_visits of the orbits of _prefix_orbits(k), k = max(n - 2, 0), through
-    picks, _twin_picks for the sweeps and _max_degree_picks for the search:
-    once for each graph G on the first n - 1 vertices that they complete.
-
-    A visit's weight, the orbit size times the twin weight of S, counts
-    the labeled graphs on n - 1 vertices that G stands for: each of them is
-    a yielded G relabeled on {0..k-1} and within the twin classes of rep.
-    stats gets the phase times once the walk ends.
+    is _conflicts(rows, n - 1), and weight, the orbit size times the twin
+    weight of S, counts the labeled graphs on n - 1 vertices that G stands
+    for: each of them is a yielded G relabeled on {0..k-1} and within the
+    twin classes of its representative.  stats gets the phase times once
+    the walk ends.
     """
     start = time.perf_counter()
-    orbits = _prefix_orbits(max(n - 2, 0), stats)
+    k = max(n - 2, 0)
+    orbits = _prefix_orbits(k, stats)
     grouped = time.perf_counter()
-    yield from _visits(n, orbits, picks)
+    if n < 2:
+        for _, size, conflict in orbits:
+            yield [0] * n, [0] * n, conflict, size
+    else:
+        for rows, weight, conflict in _children(orbits, k, picks):
+            rows.append(0)  # vertex n - 1, not joined yet
+            deg = [row.bit_count() for row in rows]
+            yield rows, deg, _conflicts_after(rows, k, conflict), weight
     if stats is not None:
         stats.walk_s += time.perf_counter() - grouped
         stats.orbit_grouping_s += grouped - start
@@ -612,7 +596,7 @@ def search_extremal(
     # n = 2 the one visit stands for itself.
     weighted: dict[int, int] = {}  # mu -> weighted leaves
     leaves_walked = visits_scored = visits_counted = 0
-    for _, rows, deg, conflict, weight in _walk_classes(n, _max_degree_picks, stats):
+    for rows, deg, conflict, weight in _walk_classes(n, _max_degree_picks, stats):
         leaves, counted = _score_picks(tables, best, ties, rows, deg, conflict)
         degrees = deg[: n - 1]
         mu = degrees.count(max(degrees)) if degrees else 1
@@ -1004,12 +988,12 @@ def _check_completion(rows, deg, n: int, violations: list[str]) -> int:
 def _check_picks(
     check, n: int, rows, deg, conflict: list[int], violations: list[str]
 ) -> tuple[int, int]:
-    """Run check(rows, deg, n, violations) at each leaf below a visit of
-    _visits: G on n - 1 vertices, held in rows and deg padded to n vertices,
-    with path ends conflict, and its last vertex v = n - 1 joined in place
-    to each S of _picks(conflict), include first.  Returns (leaves, pairs),
-    pairs the sum of what check returned.  At n = 0 the one leaf is the
-    empty graph."""
+    """Run check(rows, deg, n, violations) at each leaf below a graph G from
+    _walk_classes: G on n - 1 vertices, held in rows and deg padded to n
+    vertices, with path ends conflict, and its last vertex v = n - 1 joined
+    in place to each S of _picks(conflict).  Returns (leaves, pairs), pairs
+    the sum of what check returned.  At n = 0 the one leaf is the empty
+    graph."""
     if not n:
         return 1, check(rows, deg, n, violations)
     last = n - 1
@@ -1035,47 +1019,30 @@ def _sweep(n: int, check, force: bool) -> SweepResult:
     """Run check(rows, deg, n, violations), which returns the number of
     (graph, hub) pairs it tested, at each leaf below the graphs of
     _walk_classes (_check_picks), weighted by the labeled graphs each
-    stands for.  Every check is invariant under relabeling, so the graphs
-    that the class walk skips show a violation exactly when the ones it
-    yields do.
+    stands for.  Every check is invariant under relabeling, so `graphs`,
+    `pairs_checked` and the number of violations are exact labeled counts.
 
-    Violations name labeled graphs, so the prefixes of a class whose
-    representative shows one are walked again, in _prefixes order, each
-    as a class of its own: _visits with every pick at weight 1, whose
-    leaves come in the order of the full labeled walk.  The prefixes are
-    filtered cheapest first: by sorted degree sequence, then by _invariant,
-    and only those that share both with a dirty representative are keyed
-    by canonical form.
+    Violations name labeled graphs, so when the class walk counts any, the
+    labeled reference, _run_tree, runs check at every leaf again and lists
+    them in its order.  That walk shares no step with the class walk and
+    must list exactly as many violations as the class walk counted.
     """
     _check_search_order(n, force)
     violations: list[str] = []
-    graphs = pairs = 0
-    dirty: set[tuple[int, ...]] = set()
-    for rep, rows, deg, conflict, weight in _walk_classes(n, _twin_picks):
+    graphs = pairs = expected = 0
+    for rows, deg, conflict, weight in _walk_classes(n, _twin_picks):
         leaves, tested = _check_picks(check, n, rows, deg, conflict, violations)
         graphs += weight * leaves
         pairs += weight * tested
-        if violations:
-            dirty.add(rep)
-            violations.clear()
-    if dirty:
-        k = max(n - 2, 0)
-
-        def degrees(rows) -> tuple[int, ...]:
-            return tuple(sorted(map(int.bit_count, rows)))
-
-        sequences = {degrees(rep) for rep in dirty}
-        wanted = {_invariant(rep, k) for rep in dirty}
-        keys = {_canonical_columns(rep, k) for rep in dirty}
-        labeled = (
-            (prefix, 1, _conflicts(prefix, k))
-            for prefix in _prefixes(k)
-            if degrees(prefix) in sequences
-            and _invariant(prefix, k) in wanted
-            and _canonical_columns(prefix, k) in keys
-        )
-        for _, rows, deg, conflict, _ in _visits(n, labeled, _every_pick):
-            _check_picks(check, n, rows, deg, conflict, violations)
+        expected += weight * len(violations)
+        violations.clear()
+    if expected:
+        _run_tree(n, lambda rows: check(rows, [row.bit_count() for row in rows], n, violations))
+        if len(violations) != expected:
+            raise RuntimeError(
+                f"the labeled walk listed {len(violations)} violations at n={n}, "
+                f"the class walk counted {expected}"
+            )
     return SweepResult(n=n, graphs=graphs, pairs_checked=pairs, violations=tuple(violations))
 
 
@@ -1097,5 +1064,13 @@ def sweep_observations(n: int, *, force: bool = False) -> SweepResult:
 
 def sweep_bipartite_completion(n: int, *, force: bool = False) -> SweepResult:
     """Verify completion monotonicity: splitting at a max-degree hub with
-    independent neighborhood never lowers any degree."""
+    independent neighborhood never lowers any degree.
+
+    This holds on every graph, C5-free or not, so the sweep cannot report a
+    violation and only counts the pairs: with N(u) independent, a neighbour
+    of u has all its neighbours among the n - dmax vertices outside N(u),
+    which completing at u joins it to, and every other vertex ends at dmax,
+    which no degree exceeds.  A clean run is therefore no evidence for the
+    paper's observations.
+    """
     return _sweep(n, _check_completion, force)

@@ -287,6 +287,13 @@ def test_verify_hub_fraction_outside_its_domain_is_a_usage_error(capsys, claim, 
     assert "1/2 <= a < 1" in err
 
 
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_verify_turan_closed_form_below_two_vertices_is_a_usage_error(capsys, n):
+    code, out, err = run_cli(capsys, "verify", "turan-closed-form", "--n", n)
+    assert code == 2 and out == ""
+    assert f"order must be >= 2, got {n}" in err
+
+
 def test_verify_invalid_exponent(capsys):
     assert run_cli(capsys, "verify", "leading-coeff", "--p", "0")[0] == 2
 

@@ -76,6 +76,22 @@ def test_profiles_match_known_degree_lists(spec, expected):
     assert prof.order == spec_order(spec) == len(expected)
 
 
+def test_spec_order_is_each_family_size_on_a_grid():
+    # spec_order reads the profile's order; the sizes stated per family
+    # are the independent side
+    sizes = [
+        *((Turan(n, r), n) for n in range(1, 21) for r in range(1, n + 1)),
+        *((CompleteBipartite(a, b), a + b) for a in range(1, 16) for b in range(1, 16)),
+        *((JoinCliqueEmpty(k, m), k + m) for k in range(1, 16) for m in range(16)),
+        *((HubAttachment(p, t), 1 + p + 2 * t) for p in range(16) for t in range(16)),
+        *((GPrime(n, d), n) for n in range(4, 31) for d in range(2, n - 1)),
+        *((GStar(n, d), n) for n in range(6, 31) for d in range(2, n - 3)),
+    ]
+    assert len(sizes) == 1634
+    for spec, size in sizes:
+        assert spec_order(spec) == size, spec
+
+
 def test_spec_validation_errors():
     with pytest.raises(ValueError):
         Turan(0, 1)

@@ -1,7 +1,9 @@
 """Cold start and public names: the package and the CLI load an engine
 module only when a name from it is used, and every public name still
-resolves where it did."""
+resolves where it did.  No check in the package is an assert, which
+`python -O` strips."""
 
+import ast
 import json
 import os
 import subprocess
@@ -74,3 +76,13 @@ def test_cli_keeps_the_engine_names_it_imported():
     assert cli.CapacityError is degpow.CapacityError
     with pytest.raises(AttributeError):
         cli.no_such_name
+
+
+def test_the_package_holds_no_assert_statement():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "degpow").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

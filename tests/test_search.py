@@ -3,7 +3,11 @@ classification, and the neighborhood validators driven by the same walker."""
 
 import gc
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -46,6 +50,8 @@ from degpow.search import (
     sweep_observations,
     validate_observations,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 PETERSEN = from_edges(
     10,
@@ -96,32 +102,6 @@ def test_visitor_sees_raw_rows():
     assert len(seen) == 8
     assert len(set(seen)) == 8
     assert (0, 0, 0) in seen  # empty graph comes out of the all-exclude branch
-
-
-def test_vertex_walk_visits_the_edge_tree_leaves_in_order():
-    # the sweep's dirty pass against the labeled reference: every prefix a
-    # class of its own, completed by the class walk's visit step and the
-    # in-place loop over the last vertex; same graphs, same order, degrees
-    # that match the rows
-    for n in range(0, 8):
-        reference = []
-        enumerate_c5_free(n, lambda rows: reference.append(hash(tuple(rows))))
-        k = max(n - 2, 0)
-        labeled = ((prefix, 1, search._conflicts(prefix, k)) for prefix in _prefixes(k))
-        walked = []
-
-        def check(rows, deg, order, found):
-            assert deg == [row.bit_count() for row in rows]
-            found.append(hash(tuple(rows)))
-            return 1
-
-        leaves = 0
-        for _, rows, deg, conflict, weight in search._visits(n, labeled, search._every_pick):
-            assert weight == 1
-            count, pairs = search._check_picks(check, n, rows, deg, conflict, walked)
-            assert count == pairs
-            leaves += count
-        assert walked == reference and leaves == len(reference), n
 
 
 def test_conflicts_are_the_pairs_that_close_a_c5():
@@ -328,7 +308,7 @@ def test_search_scores_every_class_on_n_minus_1_vertices():
     for n in range(3, 9):
         tables = [(2, [d * d for d in range(n + 1)])]
         scored = {}
-        for _, rows, deg, conflict, weight in search._walk_classes(n, search._max_degree_picks):
+        for rows, deg, conflict, weight in search._walk_classes(n, search._max_degree_picks):
             leaves, counted = search._score_picks(tables, {2: -1}, {2: []}, rows, deg, conflict)
             assert leaves == len(search._picks(conflict)) and not counted
             degrees = deg[: n - 1]
@@ -350,13 +330,11 @@ def test_class_walk_weights_count_the_graphs_on_n_minus_1_vertices():
     # handed over
     for n in range(1, 9):
         total = 0
-        for rep, rows, deg, conflict, weight in search._walk_classes(n, search._twin_picks):
+        for rows, deg, conflict, weight in search._walk_classes(n, search._twin_picks):
             total += weight
             assert len(rows) == len(deg) == n and rows[n - 1] == 0
             assert deg == [row.bit_count() for row in rows]
             assert conflict == search._conflicts(rows, n - 1)
-            k = len(rep)  # rep is G[0..k-1]
-            assert [row & ((1 << k) - 1) for row in rows[:k]] == list(rep)
         assert total == enumerate_c5_free(n - 1), n
 
 
@@ -422,8 +400,28 @@ def test_max_degree_picks_are_the_twin_picks_that_top_the_degrees():
 
 def test_pick_count_matches_the_listed_picks():
     for n in range(0, 9):
-        for _, rows, _, conflict, _ in search._walk_classes(n, search._twin_picks):
+        for rows, _, conflict, _ in search._walk_classes(n, search._twin_picks):
             assert search._count_picks(conflict) == len(search._picks(conflict)), rows
+
+
+def test_an_inexact_orbit_division_raises_under_python_o():
+    # the orbit-counting divisions are exact by argument; a remainder means
+    # a bug, and the check that says so must survive assert stripping
+    assert search._exact_share(12, 4) == 3
+    code = (
+        "from degpow.search import _exact_share\n"
+        "assert False, 'asserts still run'\n"
+        "try:\n"
+        "    _exact_share(7, 2)\n"
+        "except ArithmeticError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "7 / 2 is not exact\n"
 
 
 def test_search_seeds_are_c5_free_constructions_below_ex_p():
@@ -459,7 +457,7 @@ def test_subtrees_keep_every_tie_with_the_final_incumbent():
             res = ex_p(n, p)
             best, ties = {p: res.value}, {p: []}
             tables = [(p, [d ** p for d in range(n + 1)])]
-            for _, rows, deg, conflict, _ in search._walk_classes(n, search._max_degree_picks):
+            for rows, deg, conflict, _ in search._walk_classes(n, search._max_degree_picks):
                 search._score_picks(tables, best, ties, rows, deg, conflict)
             assert best[p] == res.value, (n, p)
             found = {canonical_form(SmallGraph(n, rows)) for rows in ties[p]}
@@ -472,7 +470,7 @@ def test_skip_bound_is_the_join_of_the_last_vertex_to_every_other():
     for n in range(2, 9):
         for p in (1, 2, 3):
             tables = [(p, [d ** p for d in range(n + 1)])]
-            for _, rows, deg, conflict, _ in search._walk_classes(n, search._max_degree_picks):
+            for rows, deg, conflict, _ in search._walk_classes(n, search._max_degree_picks):
                 joined = sum((d + 1) ** p for d in deg[: n - 1]) + (n - 1) ** p
                 best, ties = {p: joined + 1}, {p: [("kept",)]}
                 leaves, counted = search._score_picks(tables, best, ties, rows, deg, conflict)
@@ -1108,6 +1106,8 @@ def test_violations_keep_the_labeled_order_past_four_prefix_vertices(monkeypatch
     n = 7
     expected = _labeled_reference(n, _dominating_hub_violations)
     clean = sweep_observations(n)
+    stats = SearchStats()
+    _prefix_orbits(n - 2, stats)
     monkeypatch.setattr(search, "_validate_observation_rows", _dominating_hubs_fail)
     canonical_columns = search._canonical_columns
     keyed = 0
@@ -1119,19 +1119,19 @@ def test_violations_keep_the_labeled_order_past_four_prefix_vertices(monkeypatch
 
     monkeypatch.setattr(search, "_canonical_columns", counted)
     swept = sweep_observations(n)
-    # the class growth and the dirty path together key fewer graphs than
-    # the 806 labeled prefixes: only those with a dirty degree sequence
-    assert keyed < len(_prefixes(5))
+    # the violations are listed by the edge-decision walk, which keys no
+    # prefix: only the class growth labels graphs, as in a clean sweep
+    assert keyed == stats.canonical_keyings > 0
     assert 100 < len(expected) < clean.pairs_checked
     assert swept.violations == tuple(expected)
     assert (swept.graphs, swept.pairs_checked) == (clean.graphs, clean.pairs_checked)
 
 
 def test_dirty_pass_keeps_the_labeled_order_at_every_small_order(monkeypatch):
-    # below n = 3 the prefixes are empty (k = 0) and the dirty pass starts
-    # at vertex 0.  A check that flags every leaf makes every class dirty,
-    # and on top of each real check it leaves the counts alone; it is also
-    # what lists the completion sweep's violations in order
+    # below n = 3 the prefixes are empty (k = 0).  A check that flags every
+    # leaf makes the labeled walk list every leaf, and on top of each real
+    # check it leaves the counts alone; it is also what lists the completion
+    # sweep's violations in order
     checks = (
         (search._check_validity, sweep_neighborhood_validity),
         (search._check_observations, sweep_observations),
@@ -1165,3 +1165,16 @@ def test_dirty_pass_keeps_the_labeled_order_at_every_small_order(monkeypatch):
             assert (swept.graphs, swept.pairs_checked) == (
                 clean[sweep_fn].graphs, clean[sweep_fn].pairs_checked
             ), (name, n)
+
+
+def test_a_check_that_is_not_relabeling_invariant_trips_the_count():
+    # flagging the graphs that hold the edge 0-1 depends on the labels: the
+    # class walk weighs the flags of its representatives, and the labeled
+    # walk lists a different number, which the sweep refuses to return
+    def edge_01(rows, deg, order, violations):
+        if rows[0] & 2:
+            violations.append(to_graph6(SmallGraph(order, tuple(rows))))
+        return 0
+
+    with pytest.raises(RuntimeError, match="listed 361 violations at n=5, the class walk counted 69"):
+        search._sweep(5, edge_01, False)
