@@ -8,13 +8,14 @@ lists (0,j), (1,j), ..., (j-1,j) together, it picks vertex j's
 neighbourhood S in {0..j-1} bit by bit, and joining j to S closes a 5-cycle
 exactly when two members of S end a path a-x-y-b on four distinct vertices
 of G[0..j-1].  The search and the sweeps therefore add one vertex at a
-time, by one child step (_children): each graph on j vertices keeps those
-path ends, updated from its parent's (_conflicts_after), so each include
-test is one AND.  Taking the bits of S include-first (_picks) follows
-the reference's leaf order.
-Labeled counts grow fast (9,369,687 at n = 8), which is why the leaf work
-is all bitmask arithmetic on raw adjacency rows; the SmallGraph API
-appears only at the edges of the module.
+time, by one child step (_children), and each graph on j vertices carries
+its pick mask, one integer of 2**j bits whose bit S is set exactly when
+vertex j may take S.  A child's mask follows from its parent's by a few
+ANDs with cached tables (_mask_after), the twin and max-degree rules are
+ANDs on the mask too, and its set bits, the picks, are listed in
+increasing order of S.  Labeled counts grow fast (9,369,687 at n = 8),
+which is why the leaf work is all bitmask arithmetic on raw adjacency
+rows; the SmallGraph API appears only at the edges of the module.
 
 The extremal search and the validator sweeps split the walk at the first
 k = n - 2 vertices (k = 0 below n = 3): the C5-free graphs on vertices
@@ -22,26 +23,28 @@ k = n - 2 vertices (k = 0 below n = 3): the C5-free graphs on vertices
 them in the reference's order.  Every later edge touches a vertex >= k,
 so a permutation of {0..k-1} maps the completions of one prefix
 one-to-one onto the completions of its image, keeping e_p, C5-freeness,
-the isomorphism class and every property the sweeps test.  _prefix_orbits grows the orbits one vertex at a
-time and keeps one graph per class, making only the children whose new
-vertex has the maximum degree (canonical deletion, McKay, "Isomorph-free
-exhaustive generation", J. Algorithms 1998); that degree rule is one
-filter on the twin picks, _max_degree_picks.  A child is keyed by a cheap invariant
-first, and by its canonical columns only when another child of its level
-shares that invariant: at n = 9 that labels 278 of the 536 children that
-make the 251 orbits of the 316,453 prefixes on 7 vertices, without listing
-the prefixes.  Each class carries its path ends, grown from its parent's.
-Both consumers then loop over one class walk, the generator _walk_classes:
-it joins vertex n - 2 to each representative by the step that grows the
-classes, _children, through twin picks only, all of them (_twin_picks)
-for a sweep and those of _max_degree_picks for the search, and yields
-each graph on n - 1 vertices with its path ends, weighted by the orbit
-size times the picks it stands for, so `visited`, `graphs` and
+the isomorphism class and every property the sweeps test.
+_prefix_orbits grows the orbits one vertex at a time and keeps one graph
+per class, making only the children whose new vertex has the maximum
+degree (canonical deletion, McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 1998); that degree rule is one filter on the
+twin picks, _max_degree_picks.  A child is keyed by a cheap invariant
+first, its sorted degrees and its number of picks, and by its canonical
+columns only when another child of its level shares that invariant: at
+n = 9 that labels 268 of the 536 children that make the 251 orbits of
+the 316,453 prefixes on 7 vertices, without listing the prefixes.  Which
+child represents a class depends on the order of the picks; nothing else
+does.  Both consumers then loop over one class walk, the generator
+_walk_classes: it joins vertex n - 2 to each representative by the step
+that grows the classes, _children, through twin picks only, all of them
+(_twin_picks) for a sweep and those of _max_degree_picks for the search,
+and yields each graph on n - 1 vertices with its pick mask, weighted by
+the orbit size times the picks it stands for, so `visited`, `graphs` and
 `pairs_checked` stay exact labeled counts.  The search starts from the
 e_p of the book graph and of the best K_{b,n-b}, as the constructions
-give them, scores the picks of the last vertex only for the exponents
-that may still reach their incumbent, and otherwise just counts them; a
-sweep checks them in place (_check_picks) and counts the violations they
+give them, counts the leaves of the last vertex by popcount, and lists
+only the picks large enough to reach some exponent's incumbent; a sweep
+checks every pick in place (_check_picks) and counts the violations they
 show, weighted like the graphs.  Violations name labeled graphs, so a
 sweep that counts any lists them with the labeled reference, _run_tree,
 which must find exactly as many.  Everything runs in one process.
@@ -169,77 +172,6 @@ class SearchResult:
     maximizers: tuple[MaximizerRecord, ...]
 
 
-def _conflicts(rows, j: int) -> list[int]:
-    """conflict[a] for each a < j: the vertices b that end a path a-x-y-b on
-    four distinct vertices of G[0..j-1].  A new vertex j joined to a and b
-    closes a 5-cycle exactly when bit b of conflict[a] is set."""
-    conflict: list[int] = []
-    for i in range(j):
-        conflict = _conflicts_after(rows, i, conflict)
-    return conflict
-
-
-def _conflicts_after(rows, j: int, conflict: list[int]) -> list[int]:
-    """_conflicts(rows, j + 1), given conflict = _conflicts(rows, j): the
-    path ends once vertex j has joined S, its neighbours below j.
-
-    Only paths through j are new.  With j second, a-j-y-b: a and y are in
-    S and b is a neighbour of y, so for a in S, b is a neighbour of a second
-    member of S (in `twice`) or of some member but not of a.  With j third,
-    the same path read from b: a's neighbour x is in S and b is another
-    member of S, any member but a once a has two neighbours in S.  With j
-    at an end, the other end is two steps from a member y of S, other than y.
-    """
-    j_bit = 1 << j
-    below = j_bit - 1
-    s = rows[j] & below
-    bit_lists = _bit_lists(j)
-    once = twice = ends = 0
-    for y in bit_lists[s]:
-        near = rows[y] & below
-        twice |= once & near
-        once |= near
-        two_steps = 0
-        for z in bit_lists[near]:
-            two_steps |= rows[z]
-        ends |= two_steps & ~(1 << y)
-    ends &= below
-    grown = []
-    for a, found in enumerate(conflict):
-        a_bit = 1 << a
-        near = rows[a] & below
-        if s & a_bit:
-            found |= (twice | once & ~near) & ~a_bit
-        middles = near & s
-        if middles:
-            found |= s & ~a_bit & ~(0 if middles & (middles - 1) else middles)
-        if ends & a_bit:
-            found |= j_bit
-        grown.append(found)
-    grown.append(ends)
-    return grown
-
-
-def _picks(conflict: list[int], smaller: Optional[list[int]] = None) -> list[int]:
-    """The neighbourhoods S in {0..j-1} that vertex j can take in the C5-free
-    graph G[0..j-1], given its conflict = _conflicts(rows, j): no two
-    members of S in conflict.  S is grown bit by bit, i = 0..j-1, the
-    include branch first, which is the edge-decision tree's order of its
-    leaves.  With smaller, the _smaller_twins of G[0..j-1], S takes a
-    vertex only once it holds all of that vertex's smaller twins."""
-    picks = [0]
-    for i, ends in enumerate(conflict):
-        bit = 1 << i
-        need = smaller[i] if smaller else 0
-        grown = []
-        for s in picks:
-            if not ends & s and not need & ~s:
-                grown.append(s | bit)
-            grown.append(s)
-        picks = grown
-    return picks
-
-
 @cache
 def _bit_lists(j: int) -> tuple[tuple[int, ...], ...]:
     """Entry s lists the set bits of s in increasing order, for every subset s
@@ -248,6 +180,82 @@ def _bit_lists(j: int) -> tuple[tuple[int, ...], ...]:
         return ((),)
     shorter = _bit_lists(j - 1)
     return shorter + tuple(members + (j - 1,) for members in shorter)
+
+
+@cache
+def _disjoint(m: int) -> tuple[int, ...]:
+    """Entry x, for each subset x of {0..m-1}, is the set of the subsets T
+    of {0..m-1} that miss x, as an integer of 2**m bits: bit T is set when
+    T & x == 0.  Entry 1 << a holds the sets that lack a, and entry 0 every
+    set."""
+    size = 1 << m
+    masks = [(1 << size) - 1]
+    for a in range(m):
+        # the sets without a come in runs of 2**a, one run per 2**(a + 1)
+        lacks = (1 << (1 << a)) - 1
+        width = 2 << a
+        while width < size:
+            lacks |= lacks << width
+            width <<= 1
+        masks += [mask & lacks for mask in masks]
+    return tuple(masks)
+
+
+@cache
+def _at_least(m: int) -> tuple[int, ...]:
+    """Entry t, t = 0..m+1, is the set of the subsets of {0..m-1} with at
+    least t members, as an integer of 2**m bits (see _disjoint)."""
+    if m == 0:
+        return (1, 0)
+    shorter = _at_least(m - 1)
+    # the sets without m - 1 need t members below it, those with m - 1 t - 1
+    low = shorter + (0,)
+    high = (shorter[0],) + shorter
+    half = 1 << (m - 1)
+    return tuple(a | b << half for a, b in zip(low, high))
+
+
+def _members(mask: int) -> list[int]:
+    """The set bits of mask in increasing order."""
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return found
+
+
+def _mask_after(rows, j: int, mask: int, s: int) -> int:
+    """The pick mask of G[0..j], where vertex j is joined to S = s, given
+    mask, that of G = G[0..j-1] held in rows (bits below j only).
+
+    The pick mask of a graph on j vertices has 2**j bits: bit T is set when
+    a new vertex joined to T closes no 5-cycle, that is, when no two
+    members of T end a path a-x-y-b on four distinct vertices of the graph.
+    Joining j to S adds only the paths through j.  With j inside the path,
+    a-j-y-b, both a and y are in S, so each new pair has an end a in S, and
+    its other end is a neighbour of another member of S: one in `twice`, or
+    in `once` but not next to a.  With j at an end, j-y-z-b, the other end
+    b is two steps from a member y of S, other than y.  So the sets that
+    lack j keep bit T unless T holds some a in S and one of a's partners,
+    and the sets that take j are those that also miss the far ends.
+    """
+    bit_lists = _bit_lists(j)
+    disjoint = _disjoint(j)
+    members = bit_lists[s]
+    once = twice = ends = 0
+    for y in members:
+        near = rows[y]
+        twice |= once & near
+        once |= near
+        two_steps = 0
+        for z in bit_lists[near]:
+            two_steps |= rows[z]
+        ends |= two_steps & ~(1 << y)
+    for a in members:
+        a_bit = 1 << a
+        mask &= disjoint[a_bit] | disjoint[(twice | once & ~rows[a]) & ~a_bit]
+    return mask | (mask & disjoint[ends]) << (1 << j)
 
 
 def _prefixes(k: int) -> list[tuple[int, ...]]:
@@ -271,37 +279,40 @@ def _twin_weights(smaller: list[int], picks: Iterable[int]) -> list[tuple[int, i
     ]
 
 
-def _twin_picks(rows, j: int, conflict: list[int]) -> list[tuple[int, int]]:
-    """(S, weight) for the picks S of vertex j (see _picks) that meet each
-    twin class T of G[0..j-1] in its smallest members, where weight counts
-    the picks that S stands for (_twin_weights).
+def _twin_picks(rows, j: int, mask: int) -> list[tuple[int, int]]:
+    """(S, weight) for the picks S of vertex j, the set bits of mask, the
+    pick mask of G[0..j-1] (see _mask_after), that meet each twin class T
+    of G[0..j-1] in its smallest members, in increasing order of S; weight
+    counts the picks that S stands for (_twin_weights).
 
     Permuting a twin class is an automorphism of G[0..j-1].  It maps the
     picks onto each other, and every graph that extends G[0..j-1] + S onto
     an isomorphic one that extends the image of S, with the same e_p.
     """
     smaller = _smaller_twins(rows, j)
-    return _twin_weights(smaller, _picks(conflict, smaller))
+    disjoint = _disjoint(j)
+    for v, twins in enumerate(smaller):
+        if twins:  # S takes v only with v's largest smaller twin, which holds the rest
+            mask &= disjoint[1 << v] | disjoint[0] ^ disjoint[1 << twins.bit_length() - 1]
+    return _twin_weights(smaller, _members(mask))
 
 
-def _max_degree_picks(rows, j: int, conflict: list[int]) -> list[tuple[int, int]]:
+def _max_degree_picks(rows, j: int, mask: int) -> list[tuple[int, int]]:
     """The (S, weight) of _twin_picks after which vertex j has the maximum
     degree in G[0..j]: |S| is at least every degree of G[0..j-1] and above
     those of S's members, which S raises.  In the same order.
 
-    The twin picks are filtered after the fact: S stays when |S| >= top,
-    the top degree of G[0..j-1], plus one if S holds a vertex of degree
-    top.  The picks that one twin pick stands for are its images under
-    automorphisms of G[0..j-1], so the test passes for all of them or
+    One more filter on the mask: S stays when |S| >= top + 1, top the top
+    degree of G[0..j-1], or when |S| >= top and S misses every vertex of
+    degree top.  The picks that one twin pick stands for are its images
+    under automorphisms of G[0..j-1], so the test passes for all of them or
     none, and only the picks that pass are weighed.
     """
-    below = (1 << j) - 1
-    degrees = [(rows[i] & below).bit_count() for i in range(j)]
+    degrees = [row.bit_count() for row in rows]
     top = max(degrees, default=0)
     tops = sum(1 << i for i, d in enumerate(degrees) if d == top)
-    smaller = _smaller_twins(rows, j)
-    picks = _picks(conflict, smaller)
-    return _twin_weights(smaller, [s for s in picks if s.bit_count() >= top + bool(s & tops)])
+    at_least = _at_least(j)
+    return _twin_picks(rows, j, mask & (at_least[top + 1] | at_least[top] & _disjoint(j)[tops]))
 
 
 def _exact_share(total: int, parts: int) -> int:
@@ -312,59 +323,45 @@ def _exact_share(total: int, parts: int) -> int:
     return share
 
 
-def _invariant(rows, j: int) -> tuple[tuple[int, int], ...]:
-    """An isomorphism invariant of the graph on vertices 0..j-1 held in
-    rows: its sorted (degree, sum of the neighbours' squared degrees)
-    pairs.  Much cheaper than _canonical_columns, and equal for isomorphic
-    graphs."""
-    degrees = [row.bit_count() for row in rows]
-    squares = [d * d for d in degrees]
-    bit_lists = _bit_lists(j)
-    return tuple(sorted(
-        (d, sum(squares[u] for u in bit_lists[row])) for d, row in zip(degrees, rows)
-    ))
-
-
 def _children(orbits, j: int, picks):
-    """(child, count, conflict) for each (rep, size, conflict) in orbits, a
-    representative on vertices 0..j-1 with its path ends _conflicts(rep, j),
-    and each (S, weight) in picks(rep, j, conflict): child is a new row
-    list, rep with vertex j joined to S, and count = size * weight the
-    labeled graphs it stands for."""
+    """(child, count, mask) for each (rep, size, mask) in orbits, a
+    representative on vertices 0..j-1 with its pick mask, and each
+    (S, weight) in picks(rep, j, mask): child is a new row list, rep with
+    vertex j joined to S, count = size * weight the labeled graphs it
+    stands for, and mask the child's own pick mask (_mask_after)."""
     members = _bit_lists(j)
     j_bit = 1 << j
-    for rep, size, conflict in orbits:
-        for s, weight in picks(rep, j, conflict):
+    for rep, size, mask in orbits:
+        for s, weight in picks(rep, j, mask):
             child = [*rep, s]
             for i in members[s]:
                 child[i] |= j_bit
-            yield child, size * weight, conflict
+            yield child, size * weight, _mask_after(rep, j, mask, s)
 
 
 def _prefix_orbits(
     k: int, stats: Optional[SearchStats] = None
-) -> list[tuple[tuple[int, ...], int, list[int]]]:
-    """(representative, orbit size, path ends) for each S_k orbit of the
-    C5-free prefixes on vertices 0..k-1: representatives as row tuples,
-    path ends as _conflicts(representative, k).  A representative is some
-    member of its orbit whose last vertex has the maximum degree, not the
-    orbit's first prefix in _prefixes order.
+) -> list[tuple[tuple[int, ...], int, int]]:
+    """(representative, orbit size, pick mask) for each S_k orbit of the
+    C5-free prefixes on vertices 0..k-1, representatives as row tuples.  A
+    representative is some member of its orbit whose last vertex has the
+    maximum degree, not the orbit's first prefix in _prefixes order.
 
     The orbits are grown one vertex at a time, by canonical deletion of a
     maximum-degree vertex (McKay 1998).  Level j makes the _children at
     vertex j-1 of each representative D on j-1 vertices through
     _max_degree_picks, those after which the new vertex j-1 has the
-    maximum degree; the first such child of a class C represents it, and
-    its path ends are _conflicts_after applied to D's.  Every class is
-    reached: relabel a member of C so that j-1 has the maximum degree;
-    deleting j-1 leaves a graph in some orbit D, and moving that graph onto
-    D's representative while fixing j-1 gives a pick of D whose child lies
-    in C with j-1 at the max degree.
+    maximum degree; the first such child of a class C represents it.
+    Every class is reached: relabel a member of C so that j-1 has the
+    maximum degree; deleting j-1 leaves a graph in some orbit D, and moving
+    that graph onto D's representative while fixing j-1 gives a pick of D
+    whose child lies in C with j-1 at the max degree.
 
-    Children are keyed invariant first.  Isomorphic children share their
-    _invariant, so a child whose invariant no other child of its level has
-    is a class of its own; only the children that share one are told apart
-    by _canonical_columns.  Classes keep the order of their first children.
+    Children are keyed invariant first: their sorted degrees and the number
+    of their picks, the set bits of their mask.  Isomorphic children share
+    both, so a child whose invariant no other child of its level has is a
+    class of its own; only the children that share one are told apart by
+    _canonical_columns.  Classes keep the order of their first children.
 
     Sizes need no automorphism group.  A permutation of D's vertices that
     fixes j-1 maps D's picks onto those of any relabeling of D, class by
@@ -374,61 +371,60 @@ def _prefix_orbits(
     the number of max-degree vertices of C, so |C| = j * sigma / mu, an
     exact division.
     """
-    orbits = [((), 1, [])]
+    orbits = [((), 1, 1)]
     for j in range(1, k + 1):
         last = j - 1
-        children = []  # (child, labeled members it counts, parent's path ends, invariant)
+        children = []  # (child, labeled members it counts, pick mask, invariant)
         shared: dict[tuple, int] = {}  # invariant -> children that have it
-        for child, count, conflict in _children(orbits, last, _max_degree_picks):
-            invariant = _invariant(child, j)
+        for child, count, mask in _children(orbits, last, _max_degree_picks):
+            invariant = (tuple(sorted(row.bit_count() for row in child)), mask.bit_count())
             shared[invariant] = shared.get(invariant, 0) + 1
-            children.append((tuple(child), count, conflict, invariant))
+            children.append((tuple(child), count, mask, invariant))
         classes: dict[tuple, list] = {}
         keyed = 0
-        for child, count, conflict, invariant in children:
+        for child, count, mask, invariant in children:
             if shared[invariant] > 1:
                 keyed += 1
                 key = (invariant, _canonical_columns(child, j))
             else:
                 key = (invariant, None)
-            classes.setdefault(key, [child, 0, conflict])[1] += count
+            classes.setdefault(key, [child, 0, mask])[1] += count
         if stats is not None:
             stats.prefix_children += len(children)
             stats.canonical_keyings += keyed
         orbits = []
-        for child, sigma, conflict in classes.values():
+        for child, sigma, mask in classes.values():
             degrees = [row.bit_count() for row in child]
             mu = degrees.count(degrees[last])
-            orbits.append((child, _exact_share(j * sigma, mu), _conflicts_after(child, last, conflict)))
+            orbits.append((child, _exact_share(j * sigma, mu), mask))
     return orbits
 
 
 def _walk_classes(n: int, picks, stats: Optional[SearchStats] = None):
-    """Yield (rows, deg, conflict, weight) once for each graph G on the first
+    """Yield (rows, deg, mask, weight) once for each graph G on the first
     n - 1 vertices that the classes of _prefix_orbits(k), k = max(n - 2, 0),
     complete: the _children at vertex n - 2 of each representative through
     picks, _twin_picks for the sweeps and _max_degree_picks for the search.
     Below n = 2 there is no vertex n - 2, and the one representative is G.
 
-    rows and deg are new lists that hold G padded to n vertices, conflict
-    is _conflicts(rows, n - 1), and weight, the orbit size times the twin
-    weight of S, counts the labeled graphs on n - 1 vertices that G stands
-    for: each of them is a yielded G relabeled on {0..k-1} and within the
-    twin classes of its representative.  stats gets the phase times once
-    the walk ends.
+    rows and deg are new lists that hold G padded to n vertices, mask is
+    G's pick mask, whose set bits are the leaves below G, and weight, the
+    orbit size times the twin weight of S, counts the labeled graphs on
+    n - 1 vertices that G stands for: each of them is a yielded G
+    relabeled on {0..k-1} and within the twin classes of its
+    representative.  stats gets the phase times once the walk ends.
     """
     start = time.perf_counter()
     k = max(n - 2, 0)
     orbits = _prefix_orbits(k, stats)
     grouped = time.perf_counter()
     if n < 2:
-        for _, size, conflict in orbits:
-            yield [0] * n, [0] * n, conflict, size
+        for _, size, mask in orbits:
+            yield [0] * n, [0] * n, mask, size
     else:
-        for rows, weight, conflict in _children(orbits, k, picks):
+        for rows, weight, mask in _children(orbits, k, picks):
             rows.append(0)  # vertex n - 1, not joined yet
-            deg = [row.bit_count() for row in rows]
-            yield rows, deg, _conflicts_after(rows, k, conflict), weight
+            yield rows, [row.bit_count() for row in rows], mask, weight
     if stats is not None:
         stats.walk_s += time.perf_counter() - grouped
         stats.orbit_grouping_s += grouped - start
@@ -436,72 +432,51 @@ def _walk_classes(n: int, picks, stats: Optional[SearchStats] = None):
         stats.orbit_representatives += len(orbits)
 
 
-def _count_picks(conflict: list[int]) -> int:
-    """len(_picks(conflict)) without listing the picks: the independent
-    sets of the graph on {0..len(conflict)-1} whose edges are the
-    conflicts."""
-    return _independent_sets(conflict, (1 << len(conflict)) - 1)
-
-
-def _independent_sets(conflict: list[int], free: int) -> int:
-    """The subsets of free with no two members in conflict.  A member in
-    conflict with no other member doubles the count.  When the rest pair
-    off, each pair is taken in 3 ways; otherwise branch on the member with
-    the most conflicts: without it, or with it and none of its partners."""
-    lone = 0
-    most = branch = 0
-    rest = free
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        partners = (conflict[bit.bit_length() - 1] & free).bit_count()
-        if not partners:
-            lone += 1
-            free ^= bit
-        elif partners > most:
-            most, branch = partners, bit
-    if most < 2:
-        return 3 ** (free.bit_count() >> 1) << lone
-    free ^= branch
-    without = _independent_sets(conflict, free)
-    joined = _independent_sets(conflict, free & ~conflict[branch.bit_length() - 1])
-    return (without + joined) << lone
-
-
-def _score_picks(tables, best, ties, rows, deg, conflict) -> tuple[int, bool]:
+def _score_picks(tables, best, ties, rows, deg, mask) -> tuple[int, bool]:
     """Score the leaves below a graph G on n - 1 vertices from the search's
-    class walk, held in rows and deg padded to n vertices, with path ends
-    conflict.  Returns (leaves, counted), counted when the leaves were only
-    counted, not listed.  tables holds (p, [d**p for d = 0..n]) per
-    exponent; best[p] and ties[p], shared by all visits, hold the highest
-    e_p so far and the leaves that reach it.
+    class walk, held in rows and deg padded to n vertices, with pick mask
+    mask.  Returns (leaves, counted), counted when no leaf was listed.
+    tables holds (p, [d**p for d = 0..n]) per exponent; best[p] and
+    ties[p], shared by all visits, hold the highest e_p so far and the
+    leaves that reach it.
 
-    Each neighbourhood S in _picks of the last vertex v = n-1 is one leaf,
-    and its e_p is that of G, plus |S|^p, plus (d+1)^p - d^p for each
-    member of S of degree d in G.  Joining v to every vertex of G would
-    score at least as much, so an exponent whose best so far is higher
-    skips the visit; a tie is still scored.  When every exponent skips it,
-    the leaves are counted (_count_picks), not listed.
+    Each set bit S of mask is one leaf, the last vertex v = n-1 joined to
+    S, and its e_p is that of G, plus |S|^p, plus the gain (d+1)^p - d^p
+    of each member of S of degree d in G.  So a leaf with t members scores
+    at most e_p(G) + t^p + the t largest gains, which grows with t, and
+    only the leaves with at least the least t whose bound reaches an
+    exponent's best so far are listed; a tie is still scored.  An exponent
+    that even the join to every vertex of G cannot lift to its best skips
+    the visit, and when no leaf is listed the leaves are only counted.
     """
     last = len(rows) - 1
-    live = []
-    for p, table in tables:
-        base = joined = 0
-        for d in deg[:last]:
-            base += table[d]
-            joined += table[d + 1]
-        if last < 0 or joined + table[last] >= best[p]:
-            live.append((p, table, base))
-    if not live:
-        return _count_picks(conflict), True
     if last < 0:  # n = 0: the one leaf is the empty graph
         for p, _ in tables:
             best[p] = 0
             ties[p] = [()]
         return 1, False
-    picks = _picks(conflict)
+    degrees = deg[:last]
+    raised = [d + 1 for d in degrees]
+    live = []
+    least = last + 1
+    for p, table in tables:
+        goal = best[p]
+        if sum(map(table.__getitem__, raised)) + table[last] < goal:
+            continue
+        base = sum(map(table.__getitem__, degrees))
+        gains = sorted([table[d + 1] - table[d] for d in degrees], reverse=True)
+        t = gained = 0
+        while base + table[t] + gained < goal:
+            gained += gains[t]
+            t += 1
+        least = min(least, t)
+        live.append((p, table, base))
+    listed = mask & _at_least(last)[least]
+    if not listed:
+        return mask.bit_count(), True
     last_bit = 1 << last
     bit_lists = _bit_lists(last)
+    picks = _members(listed)
     for p, table, base in live:
         top = best[p]
         gain = [table[d + 1] - table[d] for d in deg]
@@ -521,7 +496,7 @@ def _score_picks(tables, best, ties, rows, deg, conflict) -> tuple[int, bool]:
                 else:
                     ties[p].append(tuple(leaf))
         best[p] = top
-    return len(picks), False
+    return mask.bit_count(), False
 
 
 def _seed(n: int, p: int) -> int:
@@ -596,8 +571,8 @@ def search_extremal(
     # n = 2 the one visit stands for itself.
     weighted: dict[int, int] = {}  # mu -> weighted leaves
     leaves_walked = visits_scored = visits_counted = 0
-    for rows, deg, conflict, weight in _walk_classes(n, _max_degree_picks, stats):
-        leaves, counted = _score_picks(tables, best, ties, rows, deg, conflict)
+    for rows, deg, mask, weight in _walk_classes(n, _max_degree_picks, stats):
+        leaves, counted = _score_picks(tables, best, ties, rows, deg, mask)
         degrees = deg[: n - 1]
         mu = degrees.count(max(degrees)) if degrees else 1
         weighted[mu] = weighted.get(mu, 0) + weight * leaves
@@ -702,10 +677,14 @@ def classification_report(
     stats: Optional[SearchStats] = None,
 ) -> list[dict]:
     """Maximizer classification table over a grid of (n, p), one row per
-    distinct exponent, in first-seen order."""
+    distinct exponent, in first-seen order.  An order past the search cap
+    raises CapacityError before the first search runs."""
     report = []
+    n_list = list(n_values)
     p_list = list(dict.fromkeys(p_values))
-    for n in n_values:
+    if n_list:
+        _check_search_order(max(n_list), force, MAX_SEARCH_ORDER)
+    for n in n_list:
         per_p = search_extremal(n, p_list, force=force, stats=stats)
         for p in p_list:
             report.append(classify_maximizers(per_p[p]))
@@ -985,21 +964,19 @@ def _check_completion(rows, deg, n: int, violations: list[str]) -> int:
     return pairs
 
 
-def _check_picks(
-    check, n: int, rows, deg, conflict: list[int], violations: list[str]
-) -> tuple[int, int]:
+def _check_picks(check, n: int, rows, deg, mask: int, violations: list[str]) -> tuple[int, int]:
     """Run check(rows, deg, n, violations) at each leaf below a graph G from
     _walk_classes: G on n - 1 vertices, held in rows and deg padded to n
-    vertices, with path ends conflict, and its last vertex v = n - 1 joined
-    in place to each S of _picks(conflict).  Returns (leaves, pairs), pairs
-    the sum of what check returned.  At n = 0 the one leaf is the empty
-    graph."""
+    vertices, with pick mask mask, and its last vertex v = n - 1 joined in
+    place to each S of the mask's set bits, in increasing order.  Returns
+    (leaves, pairs), pairs the sum of what check returned.  At n = 0 the
+    one leaf is the empty graph."""
     if not n:
         return 1, check(rows, deg, n, violations)
     last = n - 1
     last_bit = 1 << last
     bit_lists = _bit_lists(last)
-    picks = _picks(conflict)
+    picks = _members(mask)
     pairs = 0
     for s in picks:
         members = bit_lists[s]
@@ -1030,8 +1007,8 @@ def _sweep(n: int, check, force: bool) -> SweepResult:
     _check_search_order(n, force)
     violations: list[str] = []
     graphs = pairs = expected = 0
-    for rows, deg, conflict, weight in _walk_classes(n, _twin_picks):
-        leaves, tested = _check_picks(check, n, rows, deg, conflict, violations)
+    for rows, deg, mask, weight in _walk_classes(n, _twin_picks):
+        leaves, tested = _check_picks(check, n, rows, deg, mask, violations)
         graphs += weight * leaves
         pairs += weight * tested
         expected += weight * len(violations)

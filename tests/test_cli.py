@@ -135,6 +135,14 @@ def test_search_capacity_exit(capsys):
     assert "capacity" in err and "--force" in err
 
 
+def test_sweep_capacity_exit_comes_before_any_search(capsys):
+    # n = 4..11 would take seconds; the cap on n = 12 is checked first
+    code, out, err = run_cli(capsys, "sweep", "--n-min", "4", "--n-max", "12", "--p", "1", "2", "3")
+    assert code == 3
+    assert out == ""
+    assert "capacity" in err and "n=12" in err
+
+
 def test_search_rejects_bad_exponent(capsys):
     code, _, err = run_cli(capsys, "search", "--n", "5", "--p", "0")
     assert code == 2

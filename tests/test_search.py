@@ -24,6 +24,7 @@ from degpow.constructions import (
 from degpow.graphs import (
     CapacityError,
     SmallGraph,
+    _smaller_twins,
     canonical_form,
     canonical_relabel,
     contains_cycle,
@@ -65,6 +66,114 @@ def all_graphs(n):
     edges = list(itertools.combinations(range(n), 2))
     for bits in range(1 << len(edges)):
         yield from_edges(n, [e for i, e in enumerate(edges) if (bits >> i) & 1])
+
+
+# ---------------------------------------------------------------------------
+# list-based references for the pick masks
+
+
+def _conflicts(rows, j):
+    """conflict[a] for each a < j: the vertices b that end a path a-x-y-b on
+    four distinct vertices of G[0..j-1].  A new vertex j joined to a and b
+    closes a 5-cycle exactly when bit b of conflict[a] is set."""
+    conflict = []
+    for i in range(j):
+        conflict = _conflicts_after(rows, i, conflict)
+    return conflict
+
+
+def _conflicts_after(rows, j, conflict):
+    """_conflicts(rows, j + 1), given conflict = _conflicts(rows, j): the
+    path ends once vertex j has joined S, its neighbours below j.
+
+    Only paths through j are new.  With j second, a-j-y-b: a and y are in
+    S and b is a neighbour of y, so for a in S, b is a neighbour of a second
+    member of S (in `twice`) or of some member but not of a.  With j third,
+    the same path read from b: a's neighbour x is in S and b is another
+    member of S, any member but a once a has two neighbours in S.  With j
+    at an end, the other end is two steps from a member y of S, other than y.
+    """
+    j_bit = 1 << j
+    below = j_bit - 1
+    s = rows[j] & below
+    once = twice = ends = 0
+    for y in range(j):
+        if not s >> y & 1:
+            continue
+        near = rows[y] & below
+        twice |= once & near
+        once |= near
+        two_steps = 0
+        for z in range(j):
+            if near >> z & 1:
+                two_steps |= rows[z]
+        ends |= two_steps & ~(1 << y)
+    ends &= below
+    grown = []
+    for a, found in enumerate(conflict):
+        a_bit = 1 << a
+        near = rows[a] & below
+        if s & a_bit:
+            found |= (twice | once & ~near) & ~a_bit
+        middles = near & s
+        if middles:
+            found |= s & ~a_bit & ~(0 if middles & (middles - 1) else middles)
+        if ends & a_bit:
+            found |= j_bit
+        grown.append(found)
+    grown.append(ends)
+    return grown
+
+
+def _picks(conflict, smaller=None):
+    """The neighbourhoods S in {0..j-1} that vertex j can take, given its
+    conflict = _conflicts(rows, j): no two members of S in conflict, grown
+    bit by bit with the include branch first.  With smaller, the
+    _smaller_twins of G[0..j-1], S takes a vertex only once it holds all of
+    that vertex's smaller twins."""
+    picks = [0]
+    for i, ends in enumerate(conflict):
+        bit = 1 << i
+        need = smaller[i] if smaller else 0
+        grown = []
+        for s in picks:
+            if not ends & s and not need & ~s:
+                grown.append(s | bit)
+            grown.append(s)
+        picks = grown
+    return picks
+
+
+def _listed_mask(rows, j):
+    """The pick mask of G[0..j-1] from the listed picks of its path ends."""
+    return sum(1 << s for s in _picks(_conflicts(rows, j)))
+
+
+def _pick_mask(rows, j):
+    """The pick mask of G[0..j-1], folded vertex by vertex with the child
+    step of the class growth."""
+    mask = 1
+    for i in range(j):
+        below = (1 << i) - 1
+        mask = search._mask_after([row & below for row in rows[:i]], i, mask, rows[i] & below)
+    return mask
+
+
+def _reference_twin_picks(rows, j):
+    """(S, weight) for the listed picks that meet each twin class in its
+    smallest members, in increasing order of S."""
+    smaller = _smaller_twins(rows, j)
+    return sorted(search._twin_weights(smaller, _picks(_conflicts(rows, j), smaller)))
+
+
+def _reference_max_degree_picks(rows, j):
+    """The reference twin picks after which vertex j has the maximum degree."""
+    deg = [(row & (1 << j) - 1).bit_count() for row in rows[:j]]
+    return [
+        (s, weight)
+        for s, weight in _reference_twin_picks(rows, j)
+        if s.bit_count() >= max((d + (s >> i & 1) for i, d in enumerate(deg)), default=0)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +223,7 @@ def test_conflicts_are_the_pairs_that_close_a_c5():
         if naive_contains_cycle(from_edges(n, edges), 5):
             continue
         checked += 1
-        conflict = search._conflicts(from_edges(n, edges).rows, n)
+        conflict = _conflicts(from_edges(n, edges).rows, n)
         for a in range(n):
             assert not (conflict[a] >> a) & 1
         for a, b in itertools.combinations(range(n), 2):
@@ -264,7 +373,7 @@ def test_prefix_orbits_match_canonical_forms_of_the_labeled_prefixes():
     # an oracle that shares no code with the level-by-level growth: every
     # labeled prefix keyed by its certificate.  The children are the
     # twin-pruned picks whose new vertex has the maximum degree, summed over
-    # the levels 1..k; each class carries the path ends of its representative
+    # the levels 1..k; each class carries the pick mask of its representative
     children = [0, 1, 3, 7, 18, 49, 150]
     for k in range(0, 7):
         labeled = {}
@@ -276,8 +385,8 @@ def test_prefix_orbits_match_canonical_forms_of_the_labeled_prefixes():
         grown = {canonical_form(SmallGraph(k, rows)): size for rows, size, _ in orbits}
         assert len(grown) == len(orbits) and grown == labeled, k
         assert stats.prefix_children == children[k], k
-        for rows, _, conflict in orbits:
-            assert conflict == search._conflicts(rows, k), rows
+        for rows, _, mask in orbits:
+            assert mask == _listed_mask(rows, k), rows
 
 
 def test_prefix_orbits_key_only_children_whose_new_vertex_has_the_max_degree(monkeypatch):
@@ -308,9 +417,9 @@ def test_search_scores_every_class_on_n_minus_1_vertices():
     for n in range(3, 9):
         tables = [(2, [d * d for d in range(n + 1)])]
         scored = {}
-        for rows, deg, conflict, weight in search._walk_classes(n, search._max_degree_picks):
-            leaves, counted = search._score_picks(tables, {2: -1}, {2: []}, rows, deg, conflict)
-            assert leaves == len(search._picks(conflict)) and not counted
+        for rows, deg, mask, weight in search._walk_classes(n, search._max_degree_picks):
+            leaves, counted = search._score_picks(tables, {2: -1}, {2: []}, rows, deg, mask)
+            assert leaves == len(_picks(_conflicts(rows, n - 1))) and not counted
             degrees = deg[: n - 1]
             assert degrees[n - 2] == max(degrees)
             cert = canonical_form(SmallGraph(n - 1, tuple(rows[: n - 1])))
@@ -326,15 +435,15 @@ def test_search_scores_every_class_on_n_minus_1_vertices():
 
 def test_class_walk_weights_count_the_graphs_on_n_minus_1_vertices():
     # the edge-decision tree is the reference: the weights handed out sum to
-    # its count on n - 1 vertices, and each conflict is the one of the graph
+    # its count on n - 1 vertices, and each mask is the one of the graph
     # handed over
     for n in range(1, 9):
         total = 0
-        for rows, deg, conflict, weight in search._walk_classes(n, search._twin_picks):
+        for rows, deg, mask, weight in search._walk_classes(n, search._twin_picks):
             total += weight
             assert len(rows) == len(deg) == n and rows[n - 1] == 0
             assert deg == [row.bit_count() for row in rows]
-            assert conflict == search._conflicts(rows, n - 1)
+            assert mask == _listed_mask(rows, n - 1)
         assert total == enumerate_c5_free(n - 1), n
 
 
@@ -353,6 +462,11 @@ def test_search_stats_count_the_orbit_walk():
     search_extremal(4, [2], stats=stats)
     assert stats.labeled_graphs == 316453 + 64
     assert stats.prefix_children == 49 + 3
+    # at n = 8 only 2 of the 386 visits hold a leaf large enough to reach
+    # ex_2 = 128 (the join-all bound alone let 175 through)
+    stats = SearchStats()
+    search_extremal(8, [2], stats=stats)
+    assert (stats.visits_scored, stats.visits_counted) == (386, 384)
 
 
 def test_twin_picks_stand_for_every_pick_class_by_class():
@@ -367,12 +481,11 @@ def test_twin_picks_stand_for_every_pick_class_by_class():
                     grown[i] |= (s >> i & 1) << n
                 return canonical_form(SmallGraph(n + 1, tuple(grown)))
 
-            conflict = search._conflicts(rows, n)
             every, kept = {}, {}
-            for s in search._picks(conflict):
+            for s in _picks(_conflicts(rows, n)):
                 cls = key(s)
                 every[cls] = every.get(cls, 0) + 1
-            for s, weight in search._twin_picks(rows, n, conflict):
+            for s, weight in search._twin_picks(rows, n, _listed_mask(rows, n)):
                 cls = key(s)
                 kept[cls] = kept.get(cls, 0) + weight
             assert kept == every, rows
@@ -381,27 +494,94 @@ def test_twin_picks_stand_for_every_pick_class_by_class():
 
 
 def test_max_degree_picks_are_the_twin_picks_that_top_the_degrees():
-    # the reference is the rule applied after the fact: every twin pick,
-    # kept when the new vertex ends with the maximum degree, in the same order
+    # the reference is the rule applied after the fact: every listed twin
+    # pick, kept when the new vertex ends with the maximum degree, in
+    # increasing order; on every labeled C5-free graph up to 5 vertices
+    checked = 0
     for n in range(0, 6):
 
         def leaf(rows):
-            deg = [row.bit_count() for row in rows]
-            conflict = search._conflicts(rows, n)
-            expected = [
-                (s, weight)
-                for s, weight in search._twin_picks(rows, n, conflict)
-                if s.bit_count() >= max((d + (s >> i & 1) for i, d in enumerate(deg)), default=0)
-            ]
-            assert search._max_degree_picks(rows, n, conflict) == expected, rows
+            nonlocal checked
+            mask = _listed_mask(rows, n)
+            assert search._twin_picks(rows, n, mask) == _reference_twin_picks(rows, n), rows
+            assert search._max_degree_picks(rows, n, mask) == _reference_max_degree_picks(rows, n), rows
+            checked += 1
 
         enumerate_c5_free(n, leaf)
+    assert checked == 1 + 1 + 2 + 8 + 64 + 806
+
+
+def test_twin_and_max_degree_filters_match_the_references_on_random_graphs():
+    # seeded C5-free graphs on 7..11 vertices, some with twins copied in
+    rng = random.Random(29)
+    kept = 0
+    for n in range(7, 12):
+        for _ in range(40):
+            rows = _random_rows(rng, n, rng.uniform(0.1, 0.7), c5_free=True)
+            for _ in range(rng.randrange(3)):  # make v a twin of u, not adjacent
+                u, v = rng.sample(range(n), 2)
+                rows[u] &= ~(1 << v)
+                for w in range(n):
+                    rows[w] = rows[w] & ~(1 << v) | (rows[w] >> u & 1) << v
+                rows[v] = rows[u]
+            if contains_cycle(SmallGraph(n, tuple(rows)), 5):
+                continue
+            mask = _pick_mask(rows, n)
+            assert mask == _listed_mask(rows, n), rows
+            assert search._twin_picks(rows, n, mask) == _reference_twin_picks(rows, n), rows
+            top = search._max_degree_picks(rows, n, mask)
+            assert top == _reference_max_degree_picks(rows, n), rows
+            kept += len(top)
+    assert kept > 50
+
+
+def test_pick_masks_are_the_neighbourhoods_that_close_no_c5():
+    # the oracle shares no code with the masks: bit S of a graph's mask is
+    # set exactly when joining a new vertex to S closes no 5-cycle
+    def closes(rows, n, s):
+        grown = [row | (s >> i & 1) << n for i, row in enumerate(rows)] + [s]
+        return contains_cycle(SmallGraph(n + 1, tuple(grown)), 5)
+
+    checked = 0
+    for n in range(0, 6):
+
+        def leaf(rows):
+            nonlocal checked
+            mask = _pick_mask(rows, n)
+            for s in range(1 << n):
+                assert bool(mask >> s & 1) != closes(rows, n, s), (rows, s)
+            checked += 1
+
+        enumerate_c5_free(n, leaf)
+    assert checked == 882
+    rng = random.Random(41)
+    for n in range(6, 12):
+        for _ in range(6):
+            rows = _random_rows(rng, n, rng.uniform(0.15, 0.6), c5_free=True)
+            mask = _pick_mask(rows, n)
+            sets = range(1 << n) if n <= 8 else rng.sample(range(1 << n), 300)
+            for s in sets:
+                assert bool(mask >> s & 1) != closes(rows, n, s), (rows, s)
 
 
 def test_pick_count_matches_the_listed_picks():
     for n in range(0, 9):
-        for rows, _, conflict, _ in search._walk_classes(n, search._twin_picks):
-            assert search._count_picks(conflict) == len(search._picks(conflict)), rows
+        for rows, _, mask, _ in search._walk_classes(n, search._twin_picks):
+            picks = _picks(_conflicts(rows, n - 1))
+            assert search._members(mask) == sorted(picks), rows
+            assert mask.bit_count() == len(picks), rows
+
+
+def test_pick_mask_tables():
+    for m in range(0, 7):
+        sets = range(1 << m)
+        disjoint = search._disjoint(m)
+        at_least = search._at_least(m)
+        assert len(disjoint) == 1 << m and len(at_least) == m + 2
+        for x in sets:
+            assert disjoint[x] == sum(1 << t for t in sets if not t & x), (m, x)
+        for t in range(m + 2):
+            assert at_least[t] == sum(1 << s for s in sets if s.bit_count() >= t), (m, t)
 
 
 def test_an_inexact_orbit_division_raises_under_python_o():
@@ -457,28 +637,66 @@ def test_subtrees_keep_every_tie_with_the_final_incumbent():
             res = ex_p(n, p)
             best, ties = {p: res.value}, {p: []}
             tables = [(p, [d ** p for d in range(n + 1)])]
-            for rows, deg, conflict, _ in search._walk_classes(n, search._max_degree_picks):
-                search._score_picks(tables, best, ties, rows, deg, conflict)
+            for rows, deg, mask, _ in search._walk_classes(n, search._max_degree_picks):
+                search._score_picks(tables, best, ties, rows, deg, mask)
             assert best[p] == res.value, (n, p)
             found = {canonical_form(SmallGraph(n, rows)) for rows in ties[p]}
             assert found == {rec.canonical for rec in res.maximizers}, (n, p)
+
+
+def test_size_filter_lists_every_tie_a_full_listing_finds():
+    # a visit lists only the leaves from the least size whose bound reaches
+    # the incumbent; started at the final value, that listing must find
+    # every leaf that ties it, in the order that listing every leaf does
+    ps = range(1, 9)
+    for n in range(1, 10):
+        values = {p: res.value for p, res in search_extremal(n, ps).items()}
+        visits = list(search._walk_classes(n, search._max_degree_picks))
+        last = n - 1
+        expected = {p: [] for p in ps}
+        scores = {}  # sorted degrees -> e_p for each p
+        for rows, deg, mask, _ in visits:
+            for s in range(1 << last):
+                if not mask >> s & 1:
+                    continue
+                degrees = [d + (s >> i & 1) for i, d in enumerate(deg[:last])] + [s.bit_count()]
+                key = tuple(sorted(degrees))
+                if key not in scores:
+                    scores[key] = {p: sum(d ** p for d in key) for p in ps}
+                for p in ps:
+                    if scores[key][p] == values[p]:
+                        leaf = [row | (s >> i & 1) << last for i, row in enumerate(rows[:last])]
+                        expected[p].append(tuple(leaf + [s]))
+        for p in ps:
+            best, ties = {p: values[p]}, {p: []}
+            tables = [(p, [d ** p for d in range(n + 1)])]
+            for rows, deg, mask, _ in visits:
+                search._score_picks(tables, best, ties, rows, deg, mask)
+            assert best[p] == values[p] and ties[p] == expected[p], (n, p)
+            assert expected[p], (n, p)
 
 
 def test_skip_bound_is_the_join_of_the_last_vertex_to_every_other():
     # an incumbent one above the leaf that joins vertex n - 1 to all of G is
     # out of reach: the visit is counted, and best and ties stay as they were
     for n in range(2, 9):
+        last = n - 1
+        everything = (1 << last) - 1
         for p in (1, 2, 3):
             tables = [(p, [d ** p for d in range(n + 1)])]
-            for rows, deg, conflict, _ in search._walk_classes(n, search._max_degree_picks):
-                joined = sum((d + 1) ** p for d in deg[: n - 1]) + (n - 1) ** p
+            for rows, deg, mask, _ in search._walk_classes(n, search._max_degree_picks):
+                joined = sum((d + 1) ** p for d in deg[:last]) + last ** p
                 best, ties = {p: joined + 1}, {p: [("kept",)]}
-                leaves, counted = search._score_picks(tables, best, ties, rows, deg, conflict)
-                assert counted and leaves == len(search._picks(conflict)), (n, p, rows)
+                leaves, counted = search._score_picks(tables, best, ties, rows, deg, mask)
+                assert counted and leaves == mask.bit_count(), (n, p, rows)
                 assert (best, ties) == ({p: joined + 1}, {p: [("kept",)]}), (n, p, rows)
-                # at the join-all value itself the visit is scored
-                _, counted = search._score_picks(tables, {p: joined}, {p: []}, rows, deg, conflict)
-                assert not counted, (n, p, rows)
+                # at the join-all value itself only the join-all leaf can
+                # reach it: the visit lists and scores it when it is a pick
+                ties = {p: []}
+                _, counted = search._score_picks(tables, {p: joined}, ties, rows, deg, mask)
+                assert counted == (not mask >> everything & 1), (n, p, rows)
+                leaf = tuple(row | 1 << last for row in rows[:last]) + (everything,)
+                assert ties[p] == ([] if counted else [leaf]), (n, p, rows)
 
 
 def test_search_n9_splits_at_seven_prefix_vertices():
@@ -499,7 +717,7 @@ def test_search_n9_splits_at_seven_prefix_vertices():
     assert stats.labeled_prefixes == 316453  # the C5-free graphs on 7 vertices
     assert stats.orbit_representatives == 251
     assert stats.prefix_children == 536
-    assert stats.canonical_keyings == 278
+    assert stats.canonical_keyings == 268
 
 
 def test_search_n10_row():
@@ -593,6 +811,23 @@ def test_classify_all_biclique_note():
 def test_classification_report_lists_each_exponent_once():
     report = search.classification_report([4, 5], [3, 1, 3, 1])
     assert [(row["n"], row["p"]) for row in report] == [(4, 3), (4, 1), (5, 3), (5, 1)]
+
+
+def test_classification_report_checks_the_cap_before_searching(monkeypatch):
+    calls = 0
+    search_extremal = search.search_extremal
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return search_extremal(*args, **kwargs)
+
+    monkeypatch.setattr(search, "search_extremal", counted)
+    with pytest.raises(CapacityError):
+        search.classification_report(range(4, 13), [1, 2, 3])
+    assert calls == 0
+    search.classification_report([5, 4], [2])
+    assert calls == 2
 
 
 def test_max_degree_ratio_exact():
