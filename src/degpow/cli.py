@@ -37,16 +37,6 @@ def __getattr__(name: str):
     return getattr(import_module(f"{__package__}.{module}"), name)
 
 
-def _canonical_spec(spec) -> str:
-    from dataclasses import astuple
-
-    from .constructions import _SPEC_SHAPES, spec_name
-
-    name = spec_name(spec)
-    keys, _ = _SPEC_SHAPES[name]
-    return name + ":" + ",".join(f"{k}={v}" for k, v in zip(keys, astuple(spec)))
-
-
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         try:
@@ -165,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_construct(args) -> int:
-    from .constructions import build, degree_profile, parse_spec
+    from .constructions import build, degree_profile, format_spec, parse_spec
     from .graphs import to_graph6
 
     spec = parse_spec(args.spec)
@@ -174,7 +164,7 @@ def _cmd_construct(args) -> int:
         return 0
     profile = degree_profile(spec)
     payload = {
-        "spec": _canonical_spec(spec),
+        "spec": format_spec(spec),
         "order": profile.order,
         "profile": [
             {"degree": d, "count": c}
@@ -186,13 +176,13 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_epow(args) -> int:
-    from .constructions import degree_profile, parse_spec
+    from .constructions import degree_profile, format_spec, parse_spec
 
     spec = parse_spec(args.spec)
     profile = degree_profile(spec)
     value = profile.power_sum(args.p)
     payload = {
-        "spec": _canonical_spec(spec),
+        "spec": format_spec(spec),
         "order": profile.order,
         "p": args.p,
         "e_p": str(value),

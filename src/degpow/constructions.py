@@ -11,7 +11,7 @@ family so that tests can address specific vertices (the hub is always 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable, Sequence, Union
 
 from .graphs import MAX_ORDER, CapacityError, SmallGraph, from_edges
@@ -208,11 +208,8 @@ def build(spec: ConstructionSpec) -> SmallGraph:
         edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
         edges += [(u, k + w) for u in range(k) for w in range(m)]
     elif isinstance(spec, HubAttachment):
-        p, t = spec.pendants, spec.triangles
-        edges = [(0, 1 + i) for i in range(p)]
-        for j in range(t):
-            x = 1 + p + 2 * j
-            edges += [(0, x), (0, x + 1), (x, x + 1)]
+        k1, k2 = SmallGraph(1, (0,)), SmallGraph(2, (0b10, 0b01))
+        return hub_with_components([k1] * spec.pendants + [k2] * spec.triangles)
     elif isinstance(spec, GPrime):
         # 0 = hub, 1-2 = triangle pair, 3..d = A1 pendants, rest = B
         n, d = spec.n, spec.hub_degree
@@ -239,13 +236,11 @@ def hub_with_components(components: Sequence[SmallGraph]) -> SmallGraph:
     order = 1 + sum(c.order for c in components)
     if order > MAX_ORDER:
         raise CapacityError(f"hub graph at order {order} exceeds the {MAX_ORDER}-vertex limit")
-    edges: list[tuple[int, int]] = []
-    offset = 1
+    rows = [(1 << order) - 2]  # the hub sees every other vertex
     for comp in components:
-        edges.extend((0, offset + v) for v in range(comp.order))
-        edges.extend((offset + u, offset + v) for u, v in comp.edges())
-        offset += comp.order
-    return from_edges(order, edges)
+        offset = len(rows)
+        rows += [row << offset | 1 for row in comp.rows]
+    return SmallGraph(order, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +272,8 @@ def bipartite_completion(g: SmallGraph, u: int) -> SmallGraph:
     nu = g.rows[u]
     if nu == 0:
         raise ValueError(f"vertex {u} is isolated, the split would be degenerate")
-    side_x = [v for v in range(g.order) if not (nu >> v) & 1]
-    side_y = [v for v in range(g.order) if (nu >> v) & 1]
-    return from_edges(g.order, [(x, y) for x in side_x for y in side_y])
+    rest = ((1 << g.order) - 1) ^ nu
+    return SmallGraph(g.order, tuple(rest if nu >> v & 1 else nu for v in range(g.order)))
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +318,10 @@ def parse_spec(text: str) -> ConstructionSpec:
     return cls(*(given[k] for k in keys))
 
 
-def spec_name(spec: ConstructionSpec) -> str:
-    for name, (_, cls) in _SPEC_SHAPES.items():
+def format_spec(spec: ConstructionSpec) -> str:
+    """The construction string of spec, which parse_spec reads back as spec:
+    the family name, then every parameter in order, as in 'turan:n=20,r=2'."""
+    for name, (keys, cls) in _SPEC_SHAPES.items():
         if type(spec) is cls:
-            return name
+            return name + ":" + ",".join(f"{k}={v}" for k, v in zip(keys, astuple(spec)))
     raise TypeError(f"unknown construction spec: {spec!r}")

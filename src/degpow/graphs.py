@@ -329,36 +329,19 @@ def is_complete_bipartite(g: SmallGraph) -> Optional[tuple[int, int]]:
 
     Both classes must be nonempty, so the empty graph, K1, and anything with
     an isolated vertex are rejected, as is any disconnected graph.
+
+    Row 0 is the far class, the one vertex 0 is not in, and g is K_{a,b}
+    exactly when every row equals the class its vertex is not in.
     """
     n = g.order
-    if n < 2:
-        return None
     rows = g.rows
-    if any(r == 0 for r in rows):
+    if n < 2 or not rows[0]:
         return None
-    side = [-1] * n
-    side[0] = 0
-    queue = [0]
-    while queue:
-        v = queue.pop()
-        m = rows[v]
-        while m:
-            b = m & -m
-            m ^= b
-            u = b.bit_length() - 1
-            if side[u] == -1:
-                side[u] = 1 - side[v]
-                queue.append(u)
-            elif side[u] == side[v]:
-                return None
-    if -1 in side:
-        return None  # disconnected, cannot be complete bipartite
-    a = side.count(0)
-    b = n - a
-    # bipartite and every vertex sees the full opposite class => complete
-    for v in range(n):
-        if rows[v].bit_count() != (b if side[v] == 0 else a):
-            return None
+    far = rows[0]
+    near = ((1 << n) - 1) ^ far
+    if any(row != (near if far >> v & 1 else far) for v, row in enumerate(rows)):
+        return None
+    a, b = near.bit_count(), far.bit_count()
     return (a, b) if a <= b else (b, a)
 
 

@@ -46,8 +46,9 @@ give them, counts the leaves of the last vertex by popcount, and lists
 only the picks large enough to reach some exponent's incumbent; a sweep
 checks every pick in place (_check_picks) and counts the violations they
 show, weighted like the graphs.  Violations name labeled graphs, so a
-sweep that counts any lists them with the labeled reference, _run_tree,
-which must find exactly as many.  Everything runs in one process.
+sweep that counts any, up to MAX_LISTED_VIOLATIONS, lists them with the
+labeled reference, _run_tree, which must find exactly as many.  Everything
+runs in one process.
 """
 
 from __future__ import annotations
@@ -79,19 +80,18 @@ from .graphs import (
 # 13 min at n = 9, and the validator sweeps check every leaf, so they keep 9
 MAX_SEARCH_ORDER = 11
 MAX_LABELED_ORDER = 9
+# a sweep that counts more violations than this raises instead of listing
+# them: a fault at n = 9 could name hundreds of millions of labeled graphs
+MAX_LISTED_VIOLATIONS = 100_000
 
 # one predicate, two readings: on an existing edge it finds a 5-cycle through
 # it; on a missing edge it answers whether adding the edge would close one
 _creates_c5 = _has_c5_through_edge
 
 
-def _edge_order(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for j in range(1, n) for i in range(j)]
-
-
 def _run_tree(n: int, leaf) -> None:
     """The edge-decision tree: leaf(rows) at every labeled C5-free graph."""
-    edges = _edge_order(n)
+    edges = [(i, j) for j in range(1, n) for i in range(j)]
     m = len(edges)
     rows = [0] * n
 
@@ -130,14 +130,10 @@ def enumerate_c5_free(n: int, visitor: Optional[Callable] = None, *, force: bool
     """
     _check_search_order(n, force)
     count = 0
-    if visitor is None:
-        def leaf(rows):
-            nonlocal count
-            count += 1
-    else:
-        def leaf(rows):
-            nonlocal count
-            count += 1
+    def leaf(rows):
+        nonlocal count
+        count += 1
+        if visitor is not None:
             visitor(rows)
     _run_tree(n, leaf)
     return count
@@ -1002,7 +998,9 @@ def _sweep(n: int, check, force: bool) -> SweepResult:
     Violations name labeled graphs, so when the class walk counts any, the
     labeled reference, _run_tree, runs check at every leaf again and lists
     them in its order.  That walk shares no step with the class walk and
-    must list exactly as many violations as the class walk counted.
+    must list exactly as many violations as the class walk counted.  Past
+    MAX_LISTED_VIOLATIONS counted violations the sweep lists none: it
+    raises RuntimeError with the count and n before the labeled walk.
     """
     _check_search_order(n, force)
     violations: list[str] = []
@@ -1013,6 +1011,11 @@ def _sweep(n: int, check, force: bool) -> SweepResult:
         pairs += weight * tested
         expected += weight * len(violations)
         violations.clear()
+    if expected > MAX_LISTED_VIOLATIONS:
+        raise RuntimeError(
+            f"the class walk counted {expected} violations at n={n}, "
+            f"more than the {MAX_LISTED_VIOLATIONS} a sweep lists"
+        )
     if expected:
         _run_tree(n, lambda rows: check(rows, [row.bit_count() for row in rows], n, violations))
         if len(violations) != expected:
@@ -1028,14 +1031,19 @@ def sweep_neighborhood_validity(n: int, *, force: bool = False) -> SweepResult:
 
     A 4-vertex path needs four vertices, so only hubs of degree >= 4 can
     fail; everything else is valid by counting.  Violating graphs come back
-    as graph6 strings (the expected result is none).
+    as graph6 strings (the expected result is none).  Past
+    MAX_LISTED_VIOLATIONS of them the sweep raises RuntimeError with their
+    count instead of listing them.
     """
     return _sweep(n, _check_validity, force)
 
 
 def sweep_observations(n: int, *, force: bool = False) -> SweepResult:
     """Run the attachment observations over every C5-free graph on n vertices
-    and every max-degree hub whose neighborhood contains an edge."""
+    and every max-degree hub whose neighborhood contains an edge.  Each
+    failure comes back as graph6, hub and message; past
+    MAX_LISTED_VIOLATIONS of them the sweep raises RuntimeError with their
+    count instead of listing them."""
     return _sweep(n, _check_observations, force)
 
 
@@ -1048,6 +1056,7 @@ def sweep_bipartite_completion(n: int, *, force: bool = False) -> SweepResult:
     of u has all its neighbours among the n - dmax vertices outside N(u),
     which completing at u joins it to, and every other vertex ends at dmax,
     which no degree exceeds.  A clean run is therefore no evidence for the
-    paper's observations.
+    paper's observations.  Like the other sweeps it would raise RuntimeError
+    past MAX_LISTED_VIOLATIONS violations, a count it cannot reach.
     """
     return _sweep(n, _check_completion, force)

@@ -19,12 +19,13 @@ from degpow.constructions import (
     degree_profile,
     ep_turan2_closed_form,
     hub_with_components,
+    format_spec,
     parse_spec,
-    spec_name,
     spec_order,
 )
 from degpow.graphs import (
     CapacityError,
+    SmallGraph,
     contains_cycle,
     degree_sequence,
     from_edges,
@@ -90,6 +91,7 @@ def test_spec_order_is_each_family_size_on_a_grid():
     assert len(sizes) == 1634
     for spec, size in sizes:
         assert spec_order(spec) == size, spec
+        assert parse_spec(format_spec(spec)) == spec
 
 
 def test_spec_validation_errors():
@@ -176,6 +178,17 @@ def test_hub_attachment_shape():
     assert g.degree(0) == hub_degree
     assert not contains_cycle(g, 5)
     assert contains_cycle(g, 3)
+
+
+def test_hub_attachment_keeps_its_edge_list_layout():
+    # pendants at 1..p, then the triangle pairs, each joined to the hub
+    for p in range(11):
+        for t in range(11):
+            edges = [(0, 1 + i) for i in range(p)]
+            for j in range(t):
+                x = 1 + p + 2 * j
+                edges += [(0, x), (0, x + 1), (x, x + 1)]
+            assert build(HubAttachment(p, t)) == from_edges(1 + p + 2 * t, edges), (p, t)
 
 
 def test_hub_with_components_extension():
@@ -268,6 +281,42 @@ def test_bipartite_completion_validation():
         bipartite_completion(g, 5)
 
 
+def edge_list_completion(g, u):
+    # the edge-list construction the row-built completion replaced
+    if not 0 <= u < g.order:
+        raise ValueError(f"vertex {u} out of range for order {g.order}")
+    nu = g.rows[u]
+    if nu == 0:
+        raise ValueError(f"vertex {u} is isolated, the split would be degenerate")
+    side_x = [v for v in range(g.order) if not (nu >> v) & 1]
+    side_y = [v for v in range(g.order) if (nu >> v) & 1]
+    return from_edges(g.order, [(x, y) for x in side_x for y in side_y])
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_bipartite_completion_matches_the_edge_list_reference_on_every_small_graph():
+    from itertools import combinations as comb
+
+    for n in range(7):
+        pairs = list(comb(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            rows = [0] * n
+            for i, (x, y) in enumerate(pairs):
+                if mask >> i & 1:
+                    rows[x] |= 1 << y
+                    rows[y] |= 1 << x
+            g = SmallGraph(n, tuple(rows))
+            for u in range(-1, n + 1):
+                got = outcome(bipartite_completion, g, u)
+                assert got == outcome(edge_list_completion, g, u), (n, mask, u)
+
+
 def test_bipartite_completion_monotone_when_neighborhood_independent():
     # the degree guarantee needs u of max degree and N(u) independent
     from itertools import combinations as comb
@@ -307,7 +356,7 @@ def test_parse_spec_roundtrip():
     ]:
         spec = parse_spec(text)
         assert spec == expected
-        assert spec_name(spec) == text.split(":")[0]
+        assert format_spec(spec) == text
 
 
 def test_parse_spec_errors():

@@ -1335,6 +1335,25 @@ def test_observation_violations_list_every_labeled_graph(monkeypatch):
     assert (swept.graphs, swept.pairs_checked) == (clean.graphs, clean.pairs_checked)
 
 
+def test_a_sweep_past_the_listing_limit_raises_with_the_count(monkeypatch):
+    # with every hub failing, the count is the clean sweep's pairs_checked
+    clean = sweep_observations(6)
+    expected = tuple(_labeled_reference(6, _every_hub_violations))
+    assert len(expected) == clean.pairs_checked
+    monkeypatch.setattr(search, "_validate_observation_rows", _every_hub_fails)
+
+    def no_labeled_walk(n, leaf):
+        raise AssertionError("the labeled walk ran past the listing limit")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(search, "MAX_LISTED_VIOLATIONS", clean.pairs_checked - 1)
+        patched.setattr(search, "_run_tree", no_labeled_walk)
+        with pytest.raises(RuntimeError, match=f"counted {clean.pairs_checked} violations at n=6,"):
+            sweep_observations(6)
+    monkeypatch.setattr(search, "MAX_LISTED_VIOLATIONS", clean.pairs_checked)
+    assert sweep_observations(6).violations == expected
+
+
 def test_violations_keep_the_labeled_order_past_four_prefix_vertices(monkeypatch):
     # at n = 7 the prefixes have k = 5 vertices; only graphs with a
     # dominating hub fail, so some prefix classes are dirty and some clean
