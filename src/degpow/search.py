@@ -30,9 +30,11 @@ degree (canonical deletion, McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 1998); that degree rule is one filter on the
 twin picks, _max_degree_picks.  A child is keyed by a cheap invariant
 first, its sorted degrees and its number of picks, and by its canonical
-columns only when another child of its level shares that invariant: at
-n = 9 that labels 268 of the 536 children that make the 251 orbits of
-the 316,453 prefixes on 7 vertices, without listing the prefixes.  Which
+columns only when another child of its level shares that invariant, in
+one pass that stores only the classes: the first child with an
+invariant is labeled when the second one comes.  At n = 9 that labels
+268 of the 536 children that make the 251 orbits of the 316,453
+prefixes on 7 vertices, without listing the prefixes.  Which
 child represents a class depends on the order of the picks; nothing else
 does.  Both consumers then loop over one class walk, the generator
 _walk_classes: it joins vertex n - 2 to each representative by the step
@@ -357,7 +359,11 @@ def _prefix_orbits(
     of their picks, the set bits of their mask.  Isomorphic children share
     both, so a child whose invariant no other child of its level has is a
     class of its own; only the children that share one are told apart by
-    _canonical_columns.  Classes keep the order of their first children.
+    _canonical_columns.  A level is one pass that stores only its classes:
+    the first child with an invariant opens a class, labeled once a second
+    child shares the invariant; each later one is labeled and joins the
+    class with its columns, or opens one.  Classes keep the order of their
+    first children.
 
     Sizes need no automorphism group.  A permutation of D's vertices that
     fixes j-1 maps D's picks onto those of any relabeling of D, class by
@@ -370,26 +376,26 @@ def _prefix_orbits(
     orbits = [((), 1, 1)]
     for j in range(1, k + 1):
         last = j - 1
-        children = []  # (child, labeled members it counts, pick mask, invariant)
-        shared: dict[tuple, int] = {}  # invariant -> children that have it
-        for child, count, mask in _children(orbits, last, _max_degree_picks):
+        classes: dict[tuple, list] = {}  # -> [representative, sigma, pick mask, columns]
+        made = keyed = 0
+        for made, (child, count, mask) in enumerate(_children(orbits, last, _max_degree_picks), 1):
             invariant = (tuple(sorted(row.bit_count() for row in child)), mask.bit_count())
-            shared[invariant] = shared.get(invariant, 0) + 1
-            children.append((tuple(child), count, mask, invariant))
-        classes: dict[tuple, list] = {}
-        keyed = 0
-        for child, count, mask, invariant in children:
-            if shared[invariant] > 1:
+            entry = classes.setdefault(invariant, [tuple(child), 0, mask, None])
+            if entry[1]:  # an earlier child has the invariant: label its class once, and child
+                if entry[3] is None:
+                    entry[3] = _canonical_columns(entry[0], j)
+                    keyed += 1
+                columns = _canonical_columns(child, j)
                 keyed += 1
-                key = (invariant, _canonical_columns(child, j))
-            else:
-                key = (invariant, None)
-            classes.setdefault(key, [child, 0, mask])[1] += count
+                if columns != entry[3]:
+                    key = (invariant, columns)
+                    entry = classes.setdefault(key, [tuple(child), 0, mask, columns])
+            entry[1] += count
         if stats is not None:
-            stats.prefix_children += len(children)
+            stats.prefix_children += made
             stats.canonical_keyings += keyed
         orbits = []
-        for child, sigma, mask in classes.values():
+        for child, sigma, mask, _ in classes.values():
             degrees = [row.bit_count() for row in child]
             mu = degrees.count(degrees[last])
             orbits.append((child, _exact_share(j * sigma, mu), mask))

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import networkx as nx
@@ -409,6 +410,60 @@ def test_prefix_orbits_key_only_children_whose_new_vertex_has_the_max_degree(mon
         assert keyed < stats.prefix_children or k < 2, k
 
 
+def _two_pass_orbits(k, stats):
+    # the class growth with each level in two passes: list every child and
+    # tally the invariants, then key the children whose invariant is shared
+    orbits = [((), 1, 1)]
+    for j in range(1, k + 1):
+        children = []
+        shared = {}
+        for child, count, mask in search._children(orbits, j - 1, search._max_degree_picks):
+            invariant = (tuple(sorted(row.bit_count() for row in child)), mask.bit_count())
+            shared[invariant] = shared.get(invariant, 0) + 1
+            children.append((tuple(child), count, mask, invariant))
+        classes = {}
+        for child, count, mask, invariant in children:
+            if shared[invariant] > 1:
+                stats.canonical_keyings += 1
+                key = (invariant, search._canonical_columns(child, j))
+            else:
+                key = (invariant, None)
+            classes.setdefault(key, [child, 0, mask])[1] += count
+        stats.prefix_children += len(children)
+        orbits = []
+        for child, sigma, mask in classes.values():
+            degrees = [row.bit_count() for row in child]
+            mu = degrees.count(degrees[j - 1])
+            orbits.append((child, search._exact_share(j * sigma, mu), mask))
+    return orbits
+
+
+def test_prefix_orbits_equal_the_two_pass_growth():
+    # same representatives, sizes, masks and order, and the same children
+    # keyed: the one pass labels exactly the children that share an invariant
+    for k in range(0, 10):
+        grown, reference = SearchStats(), SearchStats()
+        assert _prefix_orbits(k, grown) == _two_pass_orbits(k, reference), k
+        assert grown.prefix_children == reference.prefix_children, k
+        assert grown.canonical_keyings == reference.canonical_keyings, k
+
+
+def test_prefix_orbits_hold_no_level_of_children():
+    # a level that listed its children before keying them peaked at about
+    # 2.5 times the classes it returns; the one pass stays under 2
+    for j in range(9):  # the tables that outlive the call
+        search._bit_lists(j), search._disjoint(j), search._at_least(j)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        orbits = _prefix_orbits(9)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(orbits) == 3727
+    assert peak <= 2 * retained, (peak, retained)
+
+
 def test_search_scores_every_class_on_n_minus_1_vertices():
     # completeness of the visit rule: up to isomorphism, the graphs that
     # the search's class walk hands _score_picks are the classes on n - 1
@@ -722,7 +777,8 @@ def test_search_n9_splits_at_seven_prefix_vertices():
 
 def test_search_n10_row():
     # K_{5,5} wins for p <= 2 and the book graph from p = 3 on
-    found = search_extremal(10, range(1, 9), force=True)
+    stats = SearchStats()
+    found = search_extremal(10, range(1, 9), force=True, stats=stats)
     book = canonical_form(build(JoinCliqueEmpty(2, 8)))
     for p in range(1, 9):
         res = found[p]
@@ -734,6 +790,10 @@ def test_search_n10_row():
         else:
             assert res.value == 2 * 9 ** p + 8 * 2 ** p, p
             assert rec.canonical == book, p
+    # the 929 classes on 8 vertices, grown from 2,042 children
+    assert stats.orbit_representatives == 929
+    assert stats.prefix_children == 2042
+    assert stats.canonical_keyings == 1309
 
 
 def test_search_n11_at_the_cap():
