@@ -94,7 +94,7 @@ def claim_degree_lists(*, p: int = 2, n: int = 20, d: Optional[int] = None) -> d
         fam = family_of(label, a=Fraction(d, n))
         e_family = fam.power_sum_at(n, p)
         witness[label] = {
-            "profile": {str(deg): cnt for cnt, deg in prof.pairs},
+            "profile": {str(deg): cnt for deg, cnt in prof.counter().items()},
             "c5_free": c5_free,
             "e_p": _s(e_built),
             "family_e_p": _s(e_family),
@@ -215,16 +215,12 @@ def claim_case4(
     _check_p(p)
     a, x, y = _frac(a), _frac(x), _frac(y)
     gs_np = gstar_np_coefficient(a, p)
-    eq2 = family_of("case4eq2", a=a, x=x, y=y)
-    eq3 = family_of("case4eq3", a=a, x=x)
-    eq2_np = coefficient(expand_ep(eq2, p), p)
-    eq3_np = coefficient(expand_ep(eq3, p), p)
+    eq2 = expand_ep(family_of("case4eq2", a=a, x=x, y=y), p)
+    eq3 = expand_ep(family_of("case4eq3", a=a, x=x), p)
+    eq2_np = coefficient(eq2, p)
+    eq3_np = coefficient(eq3, p)
     eq2_closed = case4eq2_np_coefficient(a, x, y, p)
-    same_lead = (
-        coefficient(expand_ep(eq2, p), p + 1)
-        == coefficient(expand_ep(eq3, p), p + 1)
-        == leading_coefficient(a, p)
-    )
+    same_lead = coefficient(eq2, p + 1) == coefficient(eq3, p + 1) == leading_coefficient(a, p)
     ok = eq2_np == eq2_closed and eq2_np < gs_np and eq3_np < gs_np and same_lead
     witness = {
         "eq2_np": _s(eq2_np),

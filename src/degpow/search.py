@@ -46,8 +46,10 @@ the orbit size times the picks it stands for, so `visited`, `graphs` and
 e_p of the book graph and of the best K_{b,n-b}, as the constructions
 give them, counts the leaves of the last vertex by popcount, and lists
 only the picks large enough to reach some exponent's incumbent; a sweep
-checks every pick in place (_check_picks) and counts the violations they
-show, weighted like the graphs.  Violations name labeled graphs, so a
+lists every pick.  One loop, _check_picks, joins the last vertex in place
+to each listed pick: the search reads the leaf's e_p off its degrees, and
+a sweep checks the leaf and counts the violations it shows, weighted like
+the graphs.  Violations name labeled graphs, so a
 sweep that counts any, up to MAX_LISTED_VIOLATIONS, lists them with the
 labeled reference, _run_tree, which must find exactly as many.  Everything
 runs in one process.
@@ -449,55 +451,44 @@ def _score_picks(tables, best, ties, rows, deg, mask) -> tuple[int, bool]:
     only the leaves with at least the least t whose bound reaches an
     exponent's best so far are listed; a tie is still scored.  An exponent
     that even the join to every vertex of G cannot lift to its best skips
-    the visit, and when no leaf is listed the leaves are only counted.
+    the visit, and when no leaf is listed the leaves are only counted.  The
+    listed leaves are joined in place and scored off their degrees by the
+    sweeps' leaf loop, _check_picks.
     """
-    last = len(rows) - 1
-    if last < 0:  # n = 0: the one leaf is the empty graph
-        for p, _ in tables:
-            best[p] = 0
-            ties[p] = [()]
-        return 1, False
-    degrees = deg[:last]
-    raised = [d + 1 for d in degrees]
-    live = []
-    least = last + 1
-    for p, table in tables:
-        goal = best[p]
-        if sum(map(table.__getitem__, raised)) + table[last] < goal:
-            continue
-        base = sum(map(table.__getitem__, degrees))
-        gains = sorted([table[d + 1] - table[d] for d in degrees], reverse=True)
-        t = gained = 0
-        while base + table[t] + gained < goal:
-            gained += gains[t]
-            t += 1
-        least = min(least, t)
-        live.append((p, table, base))
-    listed = mask & _at_least(last)[least]
+    n = len(rows)
+    live, listed = tables, mask  # n = 0: no bound; the one leaf is the empty graph
+    if n:
+        last = n - 1
+        degrees = deg[:last]
+        raised = [d + 1 for d in degrees]
+        live, least = [], n
+        for p, table in tables:
+            goal = best[p]
+            if sum(map(table.__getitem__, raised)) + table[last] < goal:
+                continue
+            base = sum(map(table.__getitem__, degrees))
+            gains = sorted([table[d + 1] - table[d] for d in degrees], reverse=True)
+            t = gained = 0
+            while base + table[t] + gained < goal:
+                gained += gains[t]
+                t += 1
+            least = min(least, t)
+            live.append((p, table))
+        listed &= _at_least(last)[least]
     if not listed:
         return mask.bit_count(), True
-    last_bit = 1 << last
-    bit_lists = _bit_lists(last)
-    picks = _members(listed)
-    for p, table, base in live:
-        top = best[p]
-        gain = [table[d + 1] - table[d] for d in deg]
-        for s in picks:
-            members = bit_lists[s]
-            score = base + table[len(members)]
-            for i in members:
-                score += gain[i]
-            if score >= top:
-                leaf = rows.copy()
-                for i in members:
-                    leaf[i] |= last_bit
-                leaf[last] = s
-                if score > top:
-                    top = score
-                    ties[p] = [tuple(leaf)]
-                else:
-                    ties[p].append(tuple(leaf))
-        best[p] = top
+
+    def score(leaf, leaf_deg, *_) -> int:
+        for p, table in live:
+            value = sum(map(table.__getitem__, leaf_deg))
+            if value > best[p]:
+                best[p] = value
+                ties[p] = [tuple(leaf)]
+            elif value == best[p]:
+                ties[p].append(tuple(leaf))
+        return 0
+
+    _check_picks(score, n, rows, deg, listed, [])
     return mask.bit_count(), False
 
 
@@ -969,10 +960,11 @@ def _check_completion(rows, deg, n: int, violations: list[str]) -> int:
 def _check_picks(check, n: int, rows, deg, mask: int, violations: list[str]) -> tuple[int, int]:
     """Run check(rows, deg, n, violations) at each leaf below a graph G from
     _walk_classes: G on n - 1 vertices, held in rows and deg padded to n
-    vertices, with pick mask mask, and its last vertex v = n - 1 joined in
-    place to each S of the mask's set bits, in increasing order.  Returns
-    (leaves, pairs), pairs the sum of what check returned.  At n = 0 the
-    one leaf is the empty graph."""
+    vertices, and its last vertex v = n - 1 joined in place to each S of
+    mask's set bits, in increasing order: G's pick mask for a sweep, the
+    picks it lists for the search (_score_picks).  Returns (leaves, pairs),
+    pairs the sum of what check returned.  At n = 0 the one leaf is the
+    empty graph."""
     if not n:
         return 1, check(rows, deg, n, violations)
     last = n - 1

@@ -5,13 +5,14 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from degpow.claims import CLAIMS
 from degpow.cli import main
-from degpow.constructions import GPrime, GStar, degree_profile
+from degpow.constructions import GPrime, GStar, build, degree_profile
 from degpow.graphs import degree_sequence, from_graph6
 
 
@@ -300,6 +301,18 @@ def test_verify_turan_closed_form_below_two_vertices_is_a_usage_error(capsys, n)
     code, out, err = run_cli(capsys, "verify", "turan-closed-form", "--n", n)
     assert code == 2 and out == ""
     assert f"order must be >= 2, got {n}" in err
+
+
+@pytest.mark.parametrize("n, d", [(7, 3), (9, 5), (12, 6), (20, 10), (20, 14)])
+def test_verify_degree_lists_witness_is_the_built_histogram(capsys, n, d):
+    # a degree that two profile pairs share, like the hub's, counts both
+    code, out, _ = run_cli(capsys, "verify", "degree-lists", "--n", str(n), "--d", str(d))
+    assert code == 0
+    witness = json.loads(out)["witness"]
+    for label, spec in (("gprime", GPrime(n, d)), ("gstar", GStar(n, d))):
+        profile = witness[label]["profile"]
+        assert sum(profile.values()) == n, (label, profile)
+        assert profile == Counter(map(str, degree_sequence(build(spec)))), (label, profile)
 
 
 def test_verify_invalid_exponent(capsys):

@@ -522,6 +522,15 @@ def test_search_stats_count_the_orbit_walk():
     stats = SearchStats()
     search_extremal(8, [2], stats=stats)
     assert (stats.visits_scored, stats.visits_counted) == (386, 384)
+    # over p = 1..8 at once, a handful of visits per order list leaves
+    listed, relabeled = [], []
+    for n in range(2, 11):
+        stats = SearchStats()
+        search_extremal(n, range(1, 9), stats=stats)
+        listed.append(stats.visits_scored - stats.visits_counted)
+        relabeled.append(stats.ties_relabeled)
+    assert listed == [1, 1, 2, 5, 7, 6, 4, 4, 4]
+    assert relabeled == [8, 8, 8, 28, 22, 19, 14, 18, 14]
 
 
 def test_twin_picks_stand_for_every_pick_class_by_class():
