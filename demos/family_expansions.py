@@ -13,7 +13,6 @@ and the script prints a flip to prove it.
 from fractions import Fraction
 
 from degpow.asymptotics import (
-    coefficient,
     compare_families,
     expand_ep,
     family_of,
@@ -21,26 +20,25 @@ from degpow.asymptotics import (
 )
 
 
-def show(name: str, a: Fraction, p: int) -> None:
-    fam = family_of(name, a=a)
-    poly = expand_ep(fam, p)
-    print(f"  {name:6s} e_{p} = {poly!r}")
-
-
 def main() -> int:
+    polys = {
+        (a, p, name): expand_ep(family_of(name, a=a), p)
+        for a, p in ((Fraction(1, 2), 2), (Fraction(3, 5), 2), (Fraction(3, 5), 5))
+        for name in ("kbip", "gprime", "gstar")
+    }
     for a in (Fraction(1, 2), Fraction(3, 5)):
         p = 2
         print(f"split ratio a = {a}, p = {p}")
-        show("kbip", a, p)
-        show("gprime", a, p)
-        show("gstar", a, p)
+        for name in ("kbip", "gprime", "gstar"):
+            print(f"  {name:6s} e_{p} = {polys[a, p, name]!r}")
         lead = leading_coefficient(a, p)
         print(f"  shared n^{p + 1} coefficient: {lead}")
-        gp = coefficient(expand_ep(family_of('gprime', a=a), p), p)
-        gs = coefficient(expand_ep(family_of('gstar', a=a), p), p)
-        print(f"  n^{p} coefficients: gprime {gp}, gstar {gs}, kbip 0")
+        gp = polys[a, p, "gprime"].coefficient(p)
+        gs = polys[a, p, "gstar"].coefficient(p)
+        kb = polys[a, p, "kbip"].coefficient(p)
+        print(f"  n^{p} coefficients: gprime {gp}, gstar {gs}, kbip {kb}")
         for other in ("gprime", "gstar"):
-            cmp_result = compare_families(family_of("kbip", a=a), family_of(other, a=a), p)
+            cmp_result = compare_families(polys[a, p, "kbip"], polys[a, p, other])
             print(
                 f"  kbip vs {other}: {cmp_result.dominant} dominates "
                 f"for all n >= {cmp_result.threshold}"
@@ -50,9 +48,9 @@ def main() -> int:
     a = Fraction(3, 5)
     print(f"hub variants against each other at a = {a}: the order flips with p")
     for p in (2, 5):
-        cmp_result = compare_families(family_of("gprime", a=a), family_of("gstar", a=a), p)
-        gp = coefficient(expand_ep(family_of("gprime", a=a), p), p)
-        gs = coefficient(expand_ep(family_of("gstar", a=a), p), p)
+        cmp_result = compare_families(polys[a, p, "gprime"], polys[a, p, "gstar"])
+        gp = polys[a, p, "gprime"].coefficient(p)
+        gs = polys[a, p, "gstar"].coefficient(p)
         winner = {"first": "gprime", "second": "gstar"}[cmp_result.dominant]
         print(f"  p={p}: n^{p} coefficients {gp} vs {gs} -> {winner} wins")
     return 0

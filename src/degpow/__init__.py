@@ -27,8 +27,8 @@ _EXPORTS = {
     ),
     "asymptotics": (
         "FamilyComparison", "FPositivityReport", "NPolynomial", "ParametricFamily",
-        "best_biclique_split", "coefficient", "compare_families", "expand_ep",
-        "f_value", "family_of", "leading_coefficient", "optimize_c", "split_objective",
+        "best_biclique_split", "compare_families", "expand_ep", "f_value",
+        "family_of", "leading_coefficient", "optimize_c", "split_objective",
         "verify_f_positive",
     ),
     "search": (

@@ -310,10 +310,6 @@ def expand_ep(family: ParametricFamily, p: int) -> NPolynomial:
     return NPolynomial.of([Fraction(x, den) for x in num])
 
 
-def coefficient(poly: NPolynomial, k: int) -> Fraction:
-    return poly.coefficient(k)
-
-
 # ---------------------------------------------------------------------------
 # closed-form coefficients, used as independent checks against expand_ep
 
@@ -638,39 +634,24 @@ def best_biclique_split(n: int, p: int) -> tuple[int, int]:
 
 @dataclass(frozen=True, slots=True)
 class FamilyComparison:
-    first: str
-    second: str
-    p: int
     difference: NPolynomial = field(repr=False)
     dominant: str  # "first" | "second" | "equal"
-    leading_power: Optional[int]
-    leading_gap: Optional[Fraction]
     threshold: Optional[int]
 
 
-def compare_families(fam1: ParametricFamily, fam2: ParametricFamily, p: int) -> FamilyComparison:
-    """Which family's power sum dominates for all large n, with a witness N0.
+def compare_families(first: NPolynomial, second: NPolynomial) -> FamilyComparison:
+    """Which of two expand_ep results dominates for all large n, with a
+    witness N0.
 
     The threshold comes from the sum-of-coefficients root bound on the
-    difference polynomial d: for every n >= N0 = 1 + ceil(S/|lead|) with
-    S the sum of the lower coefficients' absolute values, sign(d(n)) equals
-    sign(lead).  Conservative but exact.
+    difference polynomial d = first - second: for every n >= N0 =
+    1 + ceil(S/|lead|) with S the sum of the lower coefficients' absolute
+    values, sign(d(n)) equals sign(lead).  Conservative but exact.
     """
-    diff = expand_ep(fam1, p) - expand_ep(fam2, p)
+    diff = first - second
     if not diff.coeffs:
-        return FamilyComparison(fam1.name, fam2.name, p, diff, "equal", None, None, None)
-    k = diff.degree
-    lead = diff.coeffs[k]
-    s = sum(abs(c) for c in diff.coeffs[:k])
-    ratio = s / abs(lead)
-    threshold = 1 + math.ceil(ratio)
-    return FamilyComparison(
-        first=fam1.name,
-        second=fam2.name,
-        p=p,
-        difference=diff,
-        dominant="first" if lead > 0 else "second",
-        leading_power=k,
-        leading_gap=lead,
-        threshold=threshold,
-    )
+        return FamilyComparison(diff, "equal", None)
+    lead = diff.coeffs[-1]
+    s = sum(abs(c) for c in diff.coeffs[:-1])
+    threshold = 1 + math.ceil(s / abs(lead))
+    return FamilyComparison(diff, "first" if lead > 0 else "second", threshold)

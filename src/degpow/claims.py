@@ -18,7 +18,6 @@ from .asymptotics import (
     best_biclique_split,
     case31_leading_coefficient,
     case4eq2_np_coefficient,
-    coefficient,
     compare_families,
     expand_ep,
     f_value,
@@ -110,7 +109,7 @@ def claim_leading_coeff(*, p: int = 2, a: RationalLike = Fraction(1, 2)) -> dict
     a = _frac(a)
     expected = leading_coefficient(a, p)
     got = {
-        name: coefficient(expand_ep(family_of(name, a=a), p), p + 1)
+        name: expand_ep(family_of(name, a=a), p).coefficient(p + 1)
         for name in ("gprime", "gstar", "kbip")
     }
     ok = all(v == expected for v in got.values())
@@ -126,11 +125,10 @@ def claim_np_coeff(*, p: int = 2, a: RationalLike = Fraction(1, 2)) -> dict:
     the other varies with (p, a) and is deliberately not asserted."""
     _check_p(p)
     a = _frac(a)
-    gp = coefficient(expand_ep(family_of("gprime", a=a), p), p)
-    gs = coefficient(expand_ep(family_of("gstar", a=a), p), p)
-    kb = coefficient(expand_ep(family_of("kbip", a=a), p), p)
-    vs_gprime = compare_families(family_of("kbip", a=a), family_of("gprime", a=a), p)
-    vs_gstar = compare_families(family_of("kbip", a=a), family_of("gstar", a=a), p)
+    gprime, gstar, kbip = (expand_ep(family_of(name, a=a), p) for name in ("gprime", "gstar", "kbip"))
+    gp, gs, kb = gprime.coefficient(p), gstar.coefficient(p), kbip.coefficient(p)
+    vs_gprime = compare_families(kbip, gprime)
+    vs_gstar = compare_families(kbip, gstar)
     ok = (
         gp == gprime_np_coefficient(a, p)
         and gs == gstar_np_coefficient(a, p)
@@ -154,8 +152,7 @@ def claim_case31(*, p: int = 2, a: RationalLike = Fraction(1, 2), y: RationalLik
     trails the hub families by exactly f(a, y) > 0."""
     _check_p(p)
     a, y = _frac(a), _frac(y)
-    fam = family_of("case31", a=a, y=y)
-    lead = coefficient(expand_ep(fam, p), p + 1)
+    lead = expand_ep(family_of("case31", a=a, y=y), p).coefficient(p + 1)
     lead_closed = case31_leading_coefficient(a, y, p)
     gap = f_value(a, y, p)
     identity = leading_coefficient(a, p) - lead_closed == gap
@@ -188,11 +185,12 @@ def claim_case33(*, p: int = 2, a: RationalLike = Fraction(1, 2)) -> dict:
     balanced split's (1/2)^p."""
     _check_p(p)
     a = _frac(a)
-    fam = family_of("case33", a=a)
-    lead = coefficient(expand_ep(fam, p), p + 1)
+    case33 = expand_ep(family_of("case33", a=a), p)
+    t2even = expand_ep(family_of("t2even"), p)
+    lead = case33.coefficient(p + 1)
     expected = (1 - a) ** (p + 1)
-    t2_lead = coefficient(expand_ep(family_of("t2even"), p), p + 1)
-    cmp_result = compare_families(family_of("t2even"), fam, p)
+    t2_lead = t2even.coefficient(p + 1)
+    cmp_result = compare_families(t2even, case33)
     ok = lead == expected and lead < t2_lead and cmp_result.dominant == "first"
     witness = {
         "leading": _s(lead),
@@ -217,10 +215,10 @@ def claim_case4(
     gs_np = gstar_np_coefficient(a, p)
     eq2 = expand_ep(family_of("case4eq2", a=a, x=x, y=y), p)
     eq3 = expand_ep(family_of("case4eq3", a=a, x=x), p)
-    eq2_np = coefficient(eq2, p)
-    eq3_np = coefficient(eq3, p)
+    eq2_np = eq2.coefficient(p)
+    eq3_np = eq3.coefficient(p)
     eq2_closed = case4eq2_np_coefficient(a, x, y, p)
-    same_lead = coefficient(eq2, p + 1) == coefficient(eq3, p + 1) == leading_coefficient(a, p)
+    same_lead = eq2.coefficient(p + 1) == eq3.coefficient(p + 1) == leading_coefficient(a, p)
     ok = eq2_np == eq2_closed and eq2_np < gs_np and eq3_np < gs_np and same_lead
     witness = {
         "eq2_np": _s(eq2_np),

@@ -25,7 +25,6 @@ from degpow.asymptotics import (
     best_biclique_split,
     case31_leading_coefficient,
     case4eq2_np_coefficient,
-    coefficient,
     compare_families,
     expand_ep,
     f_value,
@@ -185,12 +184,12 @@ def test_t2_families_match_turan_profiles():
 
 
 def test_frozen_coefficient_values():
-    assert coefficient(expand_ep(family_of("t2even"), 2), 3) == Fraction(1, 4)
+    assert expand_ep(family_of("t2even"), 2).coefficient(3) == Fraction(1, 4)
     gp = expand_ep(family_of("gprime", a=HALF), 2)
-    assert coefficient(gp, 2) == Fraction(-3, 2)
+    assert gp.coefficient(2) == Fraction(-3, 2)
     assert gp.evaluate(20) == 1484
     assert expand_ep(family_of("gstar", a=HALF), 2).evaluate(20) == 1418
-    assert coefficient(expand_ep(family_of("gstar", a=Fraction(3, 5)), 3), 4) == Fraction(78, 625)
+    assert expand_ep(family_of("gstar", a=Fraction(3, 5)), 3).coefficient(4) == Fraction(78, 625)
 
 
 def test_leading_coefficient_identity():
@@ -200,26 +199,26 @@ def test_leading_coefficient_identity():
             assert leading_coefficient(a, p) == expected
             for name in ("gprime", "gstar", "kbip"):
                 poly = expand_ep(family_of(name, a=a), p)
-                assert coefficient(poly, p + 1) == expected, (name, p, a)
+                assert poly.coefficient(p + 1) == expected, (name, p, a)
 
 
 def test_np_coefficient_identities_and_signs():
     for p in range(2, 9):
         for a in A_GRID:
-            gp = coefficient(expand_ep(family_of("gprime", a=a), p), p)
-            gs = coefficient(expand_ep(family_of("gstar", a=a), p), p)
+            gp = expand_ep(family_of("gprime", a=a), p).coefficient(p)
+            gs = expand_ep(family_of("gstar", a=a), p).coefficient(p)
             assert gp == gprime_np_coefficient(a, p) == -2 * p * (1 - a) * a ** (p - 1) - 2 * (1 - a) ** p
             assert gs == gstar_np_coefficient(a, p) == -2 * a ** p - 2 * p * a * (1 - a) ** (p - 1)
             assert gp < 0 and gs < 0
             # the plain split sheds nothing at this order
-            assert coefficient(expand_ep(family_of("kbip", a=a), p), p) == 0
+            assert expand_ep(family_of("kbip", a=a), p).coefficient(p) == 0
 
 
 def test_case31_leading_and_gap_identity():
     for p in (2, 3, 5):
         for a, y in [(HALF, Fraction(1, 4)), (Fraction(3, 5), Fraction(1, 5)), (HALF, HALF)]:
             fam = family_of("case31", a=a, y=y)
-            lead = coefficient(expand_ep(fam, p), p + 1)
+            lead = expand_ep(fam, p).coefficient(p + 1)
             assert lead == case31_leading_coefficient(a, y, p)
             assert leading_coefficient(a, p) - lead == f_value(a, y, p)
             assert f_value(a, y, p) > 0
@@ -269,13 +268,14 @@ def test_claim_case32_takes_a_only_in_its_domain():
 def test_case33_leading_below_balanced_split():
     for p in (2, 4, 6):
         for a in (HALF, Fraction(3, 5)):
-            fam = family_of("case33", a=a)
-            lead = coefficient(expand_ep(fam, p), p + 1)
+            case33 = expand_ep(family_of("case33", a=a), p)
+            lead = case33.coefficient(p + 1)
             assert lead == (1 - a) ** (p + 1)
-            t2_lead = coefficient(expand_ep(family_of("t2even"), p), p + 1)
+            t2even = expand_ep(family_of("t2even"), p)
+            t2_lead = t2even.coefficient(p + 1)
             assert t2_lead == HALF ** p
             assert lead < t2_lead
-            result = compare_families(family_of("t2even"), fam, p)
+            result = compare_families(t2even, case33)
             assert result.dominant == "first"
 
 
@@ -284,15 +284,15 @@ def test_case4_np_coefficients_below_gstar():
         for a in (HALF, Fraction(3, 5)):
             gs = gstar_np_coefficient(a, p)
             for x, y in [(1, 1), (1, 2), (3, 1)]:
-                eq2 = family_of("case4eq2", a=a, x=x, y=y)
-                eq2_np = coefficient(expand_ep(eq2, p), p)
+                eq2 = expand_ep(family_of("case4eq2", a=a, x=x, y=y), p)
+                eq2_np = eq2.coefficient(p)
                 assert eq2_np == case4eq2_np_coefficient(a, x, y, p)
                 assert eq2_np < gs, ("eq2", p, a, x, y)
-                assert coefficient(expand_ep(eq2, p), p + 1) == leading_coefficient(a, p)
+                assert eq2.coefficient(p + 1) == leading_coefficient(a, p)
             for x in (1, 2, 3):
-                eq3 = family_of("case4eq3", a=a, x=x)
-                assert coefficient(expand_ep(eq3, p), p) < gs, ("eq3", p, a, x)
-                assert coefficient(expand_ep(eq3, p), p + 1) == leading_coefficient(a, p)
+                eq3 = expand_ep(family_of("case4eq3", a=a, x=x), p)
+                assert eq3.coefficient(p) < gs, ("eq3", p, a, x)
+                assert eq3.coefficient(p + 1) == leading_coefficient(a, p)
 
 
 # ---------------------------------------------------------------------------
@@ -628,24 +628,26 @@ def test_first_argmax_keeps_the_smallest_tied_maximizer():
 
 
 def test_compare_families_gprime_vs_balanced_split():
-    result = compare_families(family_of("gprime", a=HALF), family_of("t2even"), 2)
+    gprime = expand_ep(family_of("gprime", a=HALF), 2)
+    t2even = expand_ep(family_of("t2even"), 2)
+    result = compare_families(gprime, t2even)
     assert result.dominant == "second"
-    assert result.leading_power == 2
-    assert result.leading_gap == Fraction(-3, 2)
+    assert result.difference.degree == 2
+    assert result.difference.coeffs[-1] == Fraction(-3, 2)
     assert result.threshold == 7
     # beyond the certified threshold the sign is locked in
     for n in (result.threshold, result.threshold + 50, 10 ** 4):
         assert result.difference.evaluate(n) < 0
-    flipped = compare_families(family_of("t2even"), family_of("gprime", a=HALF), 2)
+    flipped = compare_families(t2even, gprime)
     assert flipped.dominant == "first"
-    assert flipped.leading_gap == Fraction(3, 2)
+    assert flipped.difference.coeffs[-1] == Fraction(3, 2)
 
 
 def test_compare_families_equal():
-    fam = family_of("gstar", a=Fraction(3, 5))
-    result = compare_families(fam, fam, 4)
+    poly = expand_ep(family_of("gstar", a=Fraction(3, 5)), 4)
+    result = compare_families(poly, poly)
     assert result.dominant == "equal"
-    assert result.leading_power is None
+    assert result.difference.coeffs == ()
     assert result.threshold is None
 
 
@@ -657,10 +659,11 @@ def test_compare_families_split_beats_both_hub_variants():
             kb = family_of("kbip", a=a)
             for other in ("gprime", "gstar"):
                 fam = family_of(other, a=a)
-                result = compare_families(kb, fam, p)
+                poly = expand_ep(fam, p)
+                result = compare_families(expand_ep(kb, p), poly)
                 assert result.dominant == "first", (p, a, other)
-                assert result.leading_power == p
-                assert result.leading_gap == -coefficient(expand_ep(fam, p), p)
+                assert result.difference.degree == p
+                assert result.difference.coeffs[-1] == -poly.coefficient(p)
                 n = 10 * result.threshold
                 assert kb.power_sum_at(n, p) > fam.power_sum_at(n, p)
 
@@ -671,10 +674,38 @@ def test_compare_families_hub_variant_order_flips():
     # -966/3125 for p = 5, so the winner swaps between those exponents
     a = Fraction(3, 5)
     gp, gs = family_of("gprime", a=a), family_of("gstar", a=a)
-    assert compare_families(gp, gs, 2).dominant == "first"
-    assert compare_families(gp, gs, 5).dominant == "second"
+    assert compare_families(expand_ep(gp, 2), expand_ep(gs, 2)).dominant == "first"
+    assert compare_families(expand_ep(gp, 5), expand_ep(gs, 5)).dominant == "second"
     # at the even split the n^p coefficients coincide and the tie is
     # broken strictly below n^p
-    even = compare_families(family_of("gprime", a=HALF), family_of("gstar", a=HALF), 2)
+    even = compare_families(
+        expand_ep(family_of("gprime", a=HALF), 2), expand_ep(family_of("gstar", a=HALF), 2)
+    )
     assert even.dominant == "first"
-    assert even.leading_power < 2
+    assert even.difference.degree < 2
+
+
+def test_each_claim_expands_each_family_once(monkeypatch):
+    # a claim compares the expansions it already holds, so at its defaults
+    # it makes one expand_ep call per family it reads and no other
+    from degpow import asymptotics, claims
+
+    calls = []
+
+    def counted(family, p):
+        calls.append(family.name)
+        return expand_ep(family, p)
+
+    for module in (asymptotics, claims):
+        monkeypatch.setattr(module, "expand_ep", counted)
+    expected = {
+        "leading-coeff": ["gprime", "gstar", "kbip"],
+        "np-coeff": ["gprime", "gstar", "kbip"],
+        "case31": ["case31"],
+        "case33": ["case33", "t2even"],
+        "case4": ["case4eq2", "case4eq3"],
+    }
+    for cid in claims.CLAIMS:
+        calls.clear()
+        assert run_claim(cid)["pass"], cid
+        assert sorted(calls) == expected.get(cid, []), cid
