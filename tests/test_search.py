@@ -3,6 +3,7 @@ classification, and the neighborhood validators driven by the same walker."""
 
 import gc
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -25,6 +26,7 @@ from degpow.constructions import (
 from degpow.graphs import (
     CapacityError,
     SmallGraph,
+    _refine_colors,
     _smaller_twins,
     canonical_form,
     canonical_relabel,
@@ -408,6 +410,63 @@ def test_prefix_orbits_key_only_children_whose_new_vertex_has_the_max_degree(mon
         _prefix_orbits(k, stats)
         assert keyed == stats.canonical_keyings, k
         assert keyed < stats.prefix_children or k < 2, k
+
+
+def _count_least(rows, slot_cells, smaller, best, placed, placed_mask, found):
+    # the branch and bound of graphs._place_least, which also counts in
+    # found[0] the placements that reach the least columns so far; a slot
+    # whose best column drops voids every placement counted before
+    t = len(placed)
+    n = len(slot_cells)
+    if t == n:
+        found[0] += 1
+        return
+    cols = {}
+    for v in slot_cells[t]:
+        if placed_mask >> v & 1 or smaller[v] & ~placed_mask:
+            continue
+        cols[v] = sum(1 << i for i, u in enumerate(placed) if rows[v] >> u & 1)
+    low = min(cols.values())
+    if low > best[t]:
+        return
+    if low < best[t]:
+        best[t:] = [low] + [1 << (n + 1)] * (n - t - 1)
+        found[0] = 0
+    for v, col in cols.items():
+        if col == low:
+            placed.append(v)
+            _count_least(rows, slot_cells, smaller, best, placed, placed_mask | 1 << v, found)
+            placed.pop()
+
+
+def _automorphisms(rows, k):
+    """|Aut G| for the graph on k vertices held in rows.
+
+    The vertex orders within the refinement cells that give the least
+    columns are one coset of Aut G.  The labeler places each twin class in
+    increasing order, so each placement it reaches stands for the prod |T|!
+    orders of the twin classes T, and |Aut G| is their product with the
+    placements counted.
+    """
+    if not k:
+        return 1
+    colors = _refine_colors(rows, k)
+    slot_cells = [[v for v in range(k) if colors[v] == c] for c in sorted(colors)]
+    smaller = _smaller_twins(rows, k)
+    found = [0]
+    _count_least(rows, slot_cells, smaller, [1 << (k + 1)] * k, [], 0, found)
+    twin_classes = {b & -b: b | 1 << v for v, b in enumerate(smaller) if b}.values()
+    return found[0] * math.prod(math.factorial(t.bit_count()) for t in twin_classes)
+
+
+def test_prefix_orbit_sizes_are_the_orbit_stabilizer_counts():
+    # |C| = k! / |Aut C| for every class, an oracle for the sizes that the
+    # class growth derives by its sigma / mu count.  It shares the refinement
+    # (_refine_colors) and the twin classes (_smaller_twins) with the labeler,
+    # but no step of the growth and none of its size algebra
+    for k in range(0, 10):
+        for rows, size, _ in _prefix_orbits(k):
+            assert size * _automorphisms(rows, k) == math.factorial(k), (k, rows)
 
 
 def _two_pass_orbits(k, stats):
