@@ -233,11 +233,22 @@ def _smaller_twins(rows, n: int) -> list[int]:
 
     Twinship is an equivalence: a vertex cannot have both an adjacent and a
     non-adjacent twin.  So the largest member of a class sees all the rest.
+
+    Non-adjacent twins share their open row N(v), adjacent ones their closed
+    row N(v) + {v}, so one pass groups the vertices by both rows in one
+    dict.  An open row never equals a closed one: rows[u] = rows[v] | 1 << v
+    puts v in N(u), so u in N(v) and in N(u).
     """
-    smaller = [0] * n
-    for u, v in combinations(range(n), 2):
-        if rows[u] & ~(1 << v) == rows[v] & ~(1 << u):
-            smaller[v] |= 1 << u
+    smaller = []
+    seen: dict[int, int] = {}  # row -> the vertices so far with it as open or closed row
+    bit = 1
+    for row in rows[:n]:
+        closed = row | bit
+        with_open, with_closed = seen.get(row, 0), seen.get(closed, 0)
+        smaller.append(with_open | with_closed)
+        seen[row] = with_open | bit
+        seen[closed] = with_closed | bit
+        bit <<= 1
     return smaller
 
 

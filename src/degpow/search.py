@@ -266,6 +266,12 @@ def _prefixes(k: int) -> list[tuple[int, ...]]:
     return found
 
 
+@cache
+def _binomials(m: int) -> tuple[int, ...]:
+    """Entry i is C(m, i), for i = 0..m."""
+    return tuple(math.comb(m, i) for i in range(m + 1))
+
+
 def _twin_weights(smaller: list[int], picks: Iterable[int]) -> list[tuple[int, int]]:
     """(S, weight) for each pick S, where weight, the product of
     C(|T|, |S & T|) over the twin classes T given by smaller (see
@@ -273,17 +279,22 @@ def _twin_weights(smaller: list[int], picks: Iterable[int]) -> list[tuple[int, i
     # keyed by the smallest member; the largest member's entry, the whole
     # class, comes last and wins
     twin_classes = {b & -b: b | 1 << v for v, b in enumerate(smaller) if b}.values()
-    return [
-        (s, math.prod(math.comb(t.bit_count(), (s & t).bit_count()) for t in twin_classes))
-        for s in picks
-    ]
+    if not twin_classes:
+        return [(s, 1) for s in picks]
+    rows = [(t, _binomials(t.bit_count())) for t in twin_classes]
+    weighed = []
+    for s in picks:
+        weight = 1
+        for t, row in rows:
+            weight *= row[(s & t).bit_count()]
+        weighed.append((s, weight))
+    return weighed
 
 
-def _twin_picks(rows, j: int, mask: int) -> list[tuple[int, int]]:
-    """(S, weight) for the picks S of vertex j, the set bits of mask, the
-    pick mask of G[0..j-1] (see _mask_after), that meet each twin class T
-    of G[0..j-1] in its smallest members, in increasing order of S; weight
-    counts the picks that S stands for (_twin_weights).
+def _twin_mask(rows, j: int, mask: int) -> tuple[list[int], int]:
+    """(smaller, mask'): smaller the _smaller_twins of G[0..j-1], and mask'
+    the bits of mask, a pick mask of G[0..j-1] (see _mask_after), whose S
+    meets each twin class of G[0..j-1] in its smallest members.
 
     Permuting a twin class is an automorphism of G[0..j-1].  It maps the
     picks onto each other, and every graph that extends G[0..j-1] + S onto
@@ -294,25 +305,98 @@ def _twin_picks(rows, j: int, mask: int) -> list[tuple[int, int]]:
     for v, twins in enumerate(smaller):
         if twins:  # S takes v only with v's largest smaller twin, which holds the rest
             mask &= disjoint[1 << v] | disjoint[0] ^ disjoint[1 << twins.bit_length() - 1]
-    return _twin_weights(smaller, _members(mask))
+    return smaller, mask
 
 
-def _max_degree_picks(rows, j: int, mask: int) -> list[tuple[int, int]]:
-    """The (S, weight) of _twin_picks after which vertex j has the maximum
-    degree in G[0..j]: |S| is at least every degree of G[0..j-1] and above
-    those of S's members, which S raises.  In the same order.
+def _twin_picks(rows, j: int, mask: int) -> list[tuple[int, int, int]]:
+    """(S, weight, mu) for the picks S of vertex j, the set bits of mask,
+    the pick mask of G[0..j-1], that meet each twin class of G[0..j-1] in
+    its smallest members (_twin_mask), in increasing order of S; weight
+    counts the picks that S stands for (_twin_weights).  mu = j + 1: no
+    rule picks vertex j, so any vertex of G[0..j] may come last (see
+    _children)."""
+    smaller, mask = _twin_mask(rows, j, mask)
+    return [(s, weight, j + 1) for s, weight in _twin_weights(smaller, _members(mask))]
 
-    One more filter on the mask: S stays when |S| >= top + 1, top the top
-    degree of G[0..j-1], or when |S| >= top and S misses every vertex of
-    degree top.  The picks that one twin pick stands for are its images
-    under automorphisms of G[0..j-1], so the test passes for all of them or
-    none, and only the picks that pass are weighed.
-    """
+
+def _degree_levels(rows, j: int) -> tuple[list[int], list[int]]:
+    """(degrees, levels) of G[0..j-1]: levels[d], d = 0..j + 1, is the set
+    of the vertices of degree d."""
     degrees = [row.bit_count() for row in rows]
+    levels = [0] * (j + 2)
+    for v, d in enumerate(degrees):
+        levels[d] |= 1 << v
+    return degrees, levels
+
+
+def _max_degree_mask(degrees, levels, j: int) -> int:
+    """The sets S after which vertex j has the maximum degree in G[0..j],
+    as a mask of 2**j bits (see _disjoint): |S| >= top + 1, top the top
+    degree of G[0..j-1], or |S| >= top and S misses every vertex of degree
+    top, since S raises the degrees of its members."""
     top = max(degrees, default=0)
-    tops = sum(1 << i for i, d in enumerate(degrees) if d == top)
     at_least = _at_least(j)
-    return _twin_picks(rows, j, mask & (at_least[top + 1] | at_least[top] & _disjoint(j)[tops]))
+    return at_least[top + 1] | at_least[top] & _disjoint(j)[levels[top]]
+
+
+def _max_degree_picks(rows, j: int, mask: int) -> list[tuple[int, int, int]]:
+    """The (S, weight, mu) of _twin_picks after which vertex j has the
+    maximum degree in G[0..j] (_max_degree_mask), in the same order; mu is
+    the number of vertices of G[0..j] with that degree: j, the members of
+    S of degree |S| - 1 and the other vertices of degree |S|.  The picks
+    that one twin pick stands for are its images under automorphisms of
+    G[0..j-1], so the rule passes all of them or none, and only the picks
+    that pass are weighed."""
+    degrees, levels = _degree_levels(rows, j)
+    picks = _twin_picks(rows, j, mask & _max_degree_mask(degrees, levels, j))
+    # s & levels[-1] is 0 for the one pick s = 0 with |S| - 1 < 0
+    return [
+        (s, weight, 1 + (s & levels[size - 1] | levels[size] & ~s).bit_count())
+        for s, weight, _ in picks
+        for size in [s.bit_count()]
+    ]
+
+
+def _canonical_picks(rows, j: int, mask: int) -> list[tuple[int, int, int]]:
+    """The (S, weight, mu) of _max_degree_picks after which vertex j has
+    the largest (degree, neighbour-degree sum) in G[0..j], the sum s(v) of
+    the degrees of v's neighbours; mu is now the number of vertices of
+    G[0..j] that share that largest pair.  In the same order.
+
+    s is needed only for the vertices that tie j's degree, and is read off
+    G[0..j-1] before the child is built: a vertex v below j gains
+    |N(v) & S| from the members of S and, in S, |S| from j, and j's own
+    sum is that of deg + 1 over S.  Like the degree, the pair is kept by
+    every automorphism of G[0..j-1], so the picks that one twin pick
+    stands for pass or fail together, and only those that pass are
+    weighed.
+    """
+    degrees, levels = _degree_levels(rows, j)
+    smaller, mask = _twin_mask(rows, j, mask & _max_degree_mask(degrees, levels, j))
+    bit_lists = _bit_lists(j)
+    sums = None  # s(v) in G[0..j-1], listed on first need
+    kept, mus = [], []
+    for s in _members(mask):
+        members = bit_lists[s]
+        size = len(members)
+        ties = s & levels[size - 1] | levels[size] & ~s  # as in _max_degree_picks
+        if not ties:
+            kept.append(s)
+            mus.append(1)
+            continue
+        if sums is None:
+            sums = [sum(map(degrees.__getitem__, bit_lists[row])) for row in rows]
+        own = sum(map(degrees.__getitem__, members)) + size
+        mu = 1
+        for v in bit_lists[ties]:
+            other = sums[v] + (rows[v] & s).bit_count() + (size if s >> v & 1 else 0)
+            if other > own:
+                break
+            mu += other == own
+        else:
+            kept.append(s)
+            mus.append(mu)
+    return [(s, weight, mu) for (s, weight), mu in zip(_twin_weights(smaller, kept), mus)]
 
 
 def _exact_share(total: int, parts: int) -> int:
@@ -324,19 +408,22 @@ def _exact_share(total: int, parts: int) -> int:
 
 
 def _children(orbits, j: int, picks):
-    """(child, count, mask) for each (rep, size, mask) in orbits, a
-    representative on vertices 0..j-1 with its pick mask, and each
-    (S, weight) in picks(rep, j, mask): child is a new row list, rep with
-    vertex j joined to S, count = size * weight the labeled graphs it
-    stands for, and mask the child's own pick mask (_mask_after)."""
+    """(parent, child, count, mask, mu) for each (rep, size, mask) in
+    orbits, a representative on vertices 0..j-1 with its pick mask, at
+    index parent, and each (S, weight, mu) in picks(rep, j, mask): child is
+    a new row list, rep with vertex j joined to S, count = size * weight
+    the labeled graphs it stands for, mask the child's own pick mask
+    (_mask_after), and mu the number of the child's vertices that the rule
+    of picks lets come last.  By the argument of _prefix_orbits, the counts
+    of the children in a class C add up to |C| * mu / (j + 1)."""
     members = _bit_lists(j)
     j_bit = 1 << j
-    for rep, size, mask in orbits:
-        for s, weight in picks(rep, j, mask):
+    for parent, (rep, size, mask) in enumerate(orbits):
+        for s, weight, mu in picks(rep, j, mask):
             child = [*rep, s]
             for i in members[s]:
                 child[i] |= j_bit
-            yield child, size * weight, _mask_after(rep, j, mask, s)
+            yield parent, child, size * weight, _mask_after(rep, j, mask, s), mu
 
 
 def _prefix_orbits(
@@ -345,78 +432,92 @@ def _prefix_orbits(
     """(representative, orbit size, pick mask) for each S_k orbit of the
     C5-free prefixes on vertices 0..k-1, representatives as row tuples.  A
     representative is some member of its orbit whose last vertex has the
-    maximum degree, not the orbit's first prefix in _prefixes order.
+    largest (degree, neighbour-degree sum), not the orbit's first prefix in
+    _prefixes order.
 
     The orbits are grown one vertex at a time, by canonical deletion of a
-    maximum-degree vertex (McKay 1998).  Level j makes the _children at
-    vertex j-1 of each representative D on j-1 vertices through
-    _max_degree_picks, those after which the new vertex j-1 has the
-    maximum degree; the first such child of a class C represents it.
-    Every class is reached: relabel a member of C so that j-1 has the
-    maximum degree; deleting j-1 leaves a graph in some orbit D, and moving
-    that graph onto D's representative while fixing j-1 gives a pick of D
-    whose child lies in C with j-1 at the max degree.
+    vertex with the largest pair (McKay 1998).  Level j makes the _children
+    at vertex j-1 of each representative D on j-1 vertices through
+    _canonical_picks, those after which the new vertex j-1 has the largest
+    pair; the first such child of a class C represents it.  Every class is
+    reached: relabel a member of C so that j-1 has the largest pair;
+    deleting j-1 leaves a graph in some orbit D, and moving that graph onto
+    D's representative while fixing j-1 gives a pick of D whose child lies
+    in C with j-1 at the largest pair.
 
     Children are keyed invariant first: their sorted degrees and the number
     of their picks, the set bits of their mask.  Isomorphic children share
     both, so a child whose invariant no other child of its level has is a
     class of its own; only the children that share one are told apart by
-    _canonical_columns.  A level is one pass that stores only its classes:
-    the first child with an invariant opens a class, labeled once a second
-    child shares the invariant; each later one is labeled and joins the
-    class with its columns, or opens one.  Classes keep the order of their
-    first children.
+    _canonical_columns.  A child whose new vertex alone has the largest
+    pair (mu' = 1) is keyed by its parent too: an isomorphism between two
+    such children maps one new vertex onto the other, so it maps parent
+    onto parent, and two representatives are never isomorphic.  Such a
+    child is labeled only to tell it apart from a sibling.  A level is one
+    pass that stores only its classes: the first child with a key opens a
+    class, labeled once a second child shares the key; each later one is
+    labeled and joins the class with its columns, or opens one.  Classes
+    keep the order of their first children.
 
     Sizes need no automorphism group.  A permutation of D's vertices that
     fixes j-1 maps D's picks onto those of any relabeling of D, class by
     class, so sigma, the sum over D of |orbit of D| * (weights of D's
     picks that land in C), counts the labeled members of C whose vertex
-    j-1 has the maximum degree.  By symmetry that is |C| * mu / j, with mu
-    the number of max-degree vertices of C, so |C| = j * sigma / mu, an
-    exact division.
+    j-1 has the largest pair.  Transposing j-1 with another vertex shows
+    that each vertex has that pair in equally many members, so sigma is
+    |C| * mu' / j, with mu' the number of vertices of C that have the
+    largest pair, and |C| = j * sigma / mu', an exact division.  The
+    argument holds for any vertex invariant; the degree alone is the
+    coarser rule of _max_degree_picks.
     """
     orbits = [((), 1, 1)]
     for j in range(1, k + 1):
-        last = j - 1
-        classes: dict[tuple, list] = {}  # -> [representative, sigma, pick mask, columns]
+        classes: dict[tuple, list] = {}  # -> [representative, sigma, pick mask, columns, mu']
         made = keyed = 0
-        for made, (child, count, mask) in enumerate(_children(orbits, last, _max_degree_picks), 1):
-            invariant = (tuple(sorted(row.bit_count() for row in child)), mask.bit_count())
-            entry = classes.setdefault(invariant, [tuple(child), 0, mask, None])
-            if entry[1]:  # an earlier child has the invariant: label its class once, and child
+        for made, (parent, child, count, mask, mu) in enumerate(
+            _children(orbits, j - 1, _canonical_picks), 1
+        ):
+            key = (
+                parent if mu == 1 else None,
+                tuple(sorted(row.bit_count() for row in child)),
+                mask.bit_count(),
+            )
+            entry = classes.setdefault(key, [tuple(child), 0, mask, None, mu])
+            if entry[1]:  # an earlier child has the key: label its class once, and child
                 if entry[3] is None:
                     entry[3] = _canonical_columns(entry[0], j)
                     keyed += 1
                 columns = _canonical_columns(child, j)
                 keyed += 1
                 if columns != entry[3]:
-                    key = (invariant, columns)
-                    entry = classes.setdefault(key, [tuple(child), 0, mask, columns])
+                    entry = classes.setdefault((*key, columns), [tuple(child), 0, mask, columns, mu])
             entry[1] += count
         if stats is not None:
             stats.prefix_children += made
             stats.canonical_keyings += keyed
-        orbits = []
-        for child, sigma, mask, _ in classes.values():
-            degrees = [row.bit_count() for row in child]
-            mu = degrees.count(degrees[last])
-            orbits.append((child, _exact_share(j * sigma, mu), mask))
+        orbits = [
+            (child, _exact_share(j * sigma, mu), mask)
+            for child, sigma, mask, _, mu in classes.values()
+        ]
     return orbits
 
 
 def _walk_classes(n: int, picks, stats: Optional[SearchStats] = None):
-    """Yield (rows, deg, mask, weight) once for each graph G on the first
-    n - 1 vertices that the classes of _prefix_orbits(k), k = max(n - 2, 0),
-    complete: the _children at vertex n - 2 of each representative through
-    picks, _twin_picks for the sweeps and _max_degree_picks for the search.
-    Below n = 2 there is no vertex n - 2, and the one representative is G.
+    """Yield (rows, deg, mask, weight, mu) once for each graph G on the
+    first n - 1 vertices that the classes of _prefix_orbits(k),
+    k = max(n - 2, 0), complete: the _children at vertex n - 2 of each
+    representative through picks, _twin_picks for the sweeps and
+    _canonical_picks for the search.  Below n = 2 there is no vertex n - 2,
+    and the one representative is G, with mu = 1.
 
     rows and deg are new lists that hold G padded to n vertices, mask is
     G's pick mask, whose set bits are the leaves below G, and weight, the
     orbit size times the twin weight of S, counts the labeled graphs on
     n - 1 vertices that G stands for: each of them is a yielded G
     relabeled on {0..k-1} and within the twin classes of its
-    representative.  stats gets the phase times once the walk ends.
+    representative.  mu is the number of G's vertices that the rule of
+    picks lets come last: n - 1 for the twin picks, which have no rule.
+    stats gets the phase times once the walk ends.
     """
     start = time.perf_counter()
     k = max(n - 2, 0)
@@ -424,11 +525,11 @@ def _walk_classes(n: int, picks, stats: Optional[SearchStats] = None):
     grouped = time.perf_counter()
     if n < 2:
         for _, size, mask in orbits:
-            yield [0] * n, [0] * n, mask, size
+            yield [0] * n, [0] * n, mask, size, 1
     else:
-        for rows, weight, mask in _children(orbits, k, picks):
+        for _, rows, weight, mask, mu in _children(orbits, k, picks):
             rows.append(0)  # vertex n - 1, not joined yet
-            yield rows, [row.bit_count() for row in rows], mask, weight
+            yield rows, [row.bit_count() for row in rows], mask, weight, mu
     if stats is not None:
         stats.walk_s += time.perf_counter() - grouped
         stats.orbit_grouping_s += grouped - start
@@ -555,19 +656,18 @@ def search_extremal(
     best = {p: _seed(n, p) for p in ps}
     ties: dict[int, list[tuple[int, ...]]] = {p: [] for p in ps}
     # Every class C on n - 1 vertices is visited, with vertex n - 2 at the
-    # max degree, so every leaf class is reached: a leaf less its last
-    # vertex lies in some C.  By the argument of _prefix_orbits, the weights
-    # of C's visits add up to |C| * mu / (n - 1), with mu the number of
-    # max-degree vertices of C, and every member of C has as many picks as
-    # a visit.  So `visited` is the sum over mu of (n - 1) / mu times the
-    # weighted leaves of the visits with that mu, an exact division.  Below
-    # n = 2 the one visit stands for itself.
-    weighted: dict[int, int] = {}  # mu -> weighted leaves
+    # largest (degree, neighbour-degree sum), so every leaf class is
+    # reached: a leaf less its last vertex lies in some C.  By the argument
+    # of _prefix_orbits, the weights of C's visits add up to
+    # |C| * mu' / (n - 1), with mu' the number of vertices of C with the
+    # largest pair, and every member of C has as many picks as a visit.  So
+    # `visited` is the sum over mu' of (n - 1) / mu' times the weighted
+    # leaves of the visits with that mu', an exact division.  Below n = 2
+    # the one visit stands for itself.
+    weighted: dict[int, int] = {}  # mu' -> weighted leaves
     leaves_walked = visits_scored = visits_counted = 0
-    for rows, deg, mask, weight in _walk_classes(n, _max_degree_picks, stats):
+    for rows, deg, mask, weight, mu in _walk_classes(n, _canonical_picks, stats):
         leaves, counted = _score_picks(tables, best, ties, rows, deg, mask)
-        degrees = deg[: n - 1]
-        mu = degrees.count(max(degrees)) if degrees else 1
         weighted[mu] = weighted.get(mu, 0) + weight * leaves
         leaves_walked += leaves
         visits_scored += 1
@@ -1003,7 +1103,7 @@ def _sweep(n: int, check, force: bool) -> SweepResult:
     _check_search_order(n, force)
     violations: list[str] = []
     graphs = pairs = expected = 0
-    for rows, deg, mask, weight in _walk_classes(n, _twin_picks):
+    for rows, deg, mask, weight, _ in _walk_classes(n, _twin_picks):
         leaves, tested = _check_picks(check, n, rows, deg, mask, violations)
         graphs += weight * leaves
         pairs += weight * tested

@@ -16,6 +16,7 @@ from degpow.graphs import (
     SmallGraph,
     _count_c5,
     _refine_colors,
+    _smaller_twins,
     canonical_form,
     canonical_relabel,
     contains_cycle,
@@ -320,6 +321,42 @@ def test_twin_pruning_keeps_the_canonical_relabeling():
                complete_bipartite(3, 4), complete_bipartite(2, 5), book(7)]
     for g in graphs:
         assert canonical_relabel(g) == reference_relabel(g), to_graph6(g)
+
+
+def pairwise_smaller_twins(rows, n):
+    """The definition, pair by pair: u < v are twins when
+    N(u) - {v} = N(v) - {u}."""
+    smaller = [0] * n
+    for u, v in combinations(range(n), 2):
+        if rows[u] & ~(1 << v) == rows[v] & ~(1 << u):
+            smaller[v] |= 1 << u
+    return smaller
+
+
+def test_smaller_twins_match_the_pairwise_definition():
+    # every labeled graph up to 6 vertices, then seeded random graphs up to
+    # 12 vertices with twins copied in, adjacent and not
+    for n in range(0, 7):
+        all_edges = list(combinations(range(n), 2))
+        for mask in range(1 << len(all_edges)):
+            rows = from_edges(n, [e for i, e in enumerate(all_edges) if mask >> i & 1]).rows
+            assert _smaller_twins(rows, n) == pairwise_smaller_twins(rows, n), (n, rows)
+    rng = random.Random(61)
+    twins = 0
+    for _ in range(400):
+        n = rng.randint(7, 12)
+        rows = list(random_graph(rng, n, rng.uniform(0.1, 0.9)).rows)
+        for _ in range(rng.randrange(4)):  # make v a twin of u, adjacent or not
+            u, v = rng.sample(range(n), 2)
+            joined = rng.random() < 0.5
+            for w in range(n):
+                rows[w] = rows[w] & ~(1 << v) | (rows[w] >> u & 1) << v
+            rows[v] = rows[u] & ~(1 << v)
+            rows[u] = rows[u] & ~(1 << v) | joined << v
+            rows[v] |= joined << u
+        assert _smaller_twins(rows, n) == pairwise_smaller_twins(rows, n), (n, rows)
+        twins += any(_smaller_twins(rows, n))
+    assert twins > 200
 
 
 def test_canonical_relabel_leaves_no_reference_cycles():

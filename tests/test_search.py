@@ -163,20 +163,50 @@ def _pick_mask(rows, j):
 
 
 def _reference_twin_picks(rows, j):
-    """(S, weight) for the listed picks that meet each twin class in its
-    smallest members, in increasing order of S."""
+    """(S, weight, j + 1) for the listed picks that meet each twin class in
+    its smallest members, in increasing order of S."""
     smaller = _smaller_twins(rows, j)
-    return sorted(search._twin_weights(smaller, _picks(_conflicts(rows, j), smaller)))
+    picks = search._twin_weights(smaller, _picks(_conflicts(rows, j), smaller))
+    return [(s, weight, j + 1) for s, weight in sorted(picks)]
+
+
+def _joined(rows, j, s):
+    """G[0..j-1] of rows with vertex j joined to S, as a new row list."""
+    return [(row & (1 << j) - 1) | (s >> i & 1) << j for i, row in enumerate(rows[:j])] + [s]
+
+
+def _reference_top_picks(rows, j, invariant):
+    """(S, weight, mu) for the reference twin picks after which vertex j has
+    the largest invariant(child) value in the child, mu the number of the
+    child's vertices that have it."""
+    kept = []
+    for s, weight, _ in _reference_twin_picks(rows, j):
+        values = invariant(_joined(rows, j, s))
+        if values[j] == max(values):
+            kept.append((s, weight, values.count(values[j])))
+    return kept
+
+
+def _degrees(rows):
+    return [row.bit_count() for row in rows]
+
+
+def _degree_pairs(rows):
+    """(deg v, s(v)) per vertex, s(v) the sum of the degrees of v's
+    neighbours."""
+    deg = _degrees(rows)
+    return [(d, sum(deg[u] for u in range(len(rows)) if row >> u & 1)) for d, row in zip(deg, rows)]
 
 
 def _reference_max_degree_picks(rows, j):
     """The reference twin picks after which vertex j has the maximum degree."""
-    deg = [(row & (1 << j) - 1).bit_count() for row in rows[:j]]
-    return [
-        (s, weight)
-        for s, weight in _reference_twin_picks(rows, j)
-        if s.bit_count() >= max((d + (s >> i & 1) for i, d in enumerate(deg)), default=0)
-    ]
+    return _reference_top_picks(rows, j, _degrees)
+
+
+def _reference_canonical_picks(rows, j):
+    """The reference twin picks after which vertex j has the largest
+    (degree, neighbour-degree sum)."""
+    return _reference_top_picks(rows, j, _degree_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +405,10 @@ def test_prefix_orbits_are_the_isomorphism_classes():
 def test_prefix_orbits_match_canonical_forms_of_the_labeled_prefixes():
     # an oracle that shares no code with the level-by-level growth: every
     # labeled prefix keyed by its certificate.  The children are the
-    # twin-pruned picks whose new vertex has the maximum degree, summed over
-    # the levels 1..k; each class carries the pick mask of its representative
-    children = [0, 1, 3, 7, 18, 49, 150]
+    # twin-pruned picks whose new vertex has the largest (degree,
+    # neighbour-degree sum), summed over the levels 1..k; each class carries
+    # the pick mask of its representative
+    children = [0, 1, 3, 7, 18, 47, 139]
     for k in range(0, 7):
         labeled = {}
         for rows in _prefixes(k):
@@ -471,12 +502,14 @@ def test_prefix_orbit_sizes_are_the_orbit_stabilizer_counts():
 
 def _two_pass_orbits(k, stats):
     # the class growth with each level in two passes: list every child and
-    # tally the invariants, then key the children whose invariant is shared
+    # tally the invariants, then key the children whose invariant is shared.
+    # It deletes a vertex of maximum degree, the coarser rule of
+    # _max_degree_picks, and keys no child by its parent
     orbits = [((), 1, 1)]
     for j in range(1, k + 1):
         children = []
         shared = {}
-        for child, count, mask in search._children(orbits, j - 1, search._max_degree_picks):
+        for _, child, count, mask, _ in search._children(orbits, j - 1, search._max_degree_picks):
             invariant = (tuple(sorted(row.bit_count() for row in child)), mask.bit_count())
             shared[invariant] = shared.get(invariant, 0) + 1
             children.append((tuple(child), count, mask, invariant))
@@ -498,13 +531,22 @@ def _two_pass_orbits(k, stats):
 
 
 def test_prefix_orbits_equal_the_two_pass_growth():
-    # same representatives, sizes, masks and order, and the same children
-    # keyed: the one pass labels exactly the children that share an invariant
+    # the same classes, by certificate, with the same sizes and pick counts;
+    # the finer deletion rule and the parent keys make no more children and
+    # label no more of them
+    def by_certificate(orbits):
+        return {
+            canonical_form(SmallGraph(k, rows)): (size, mask.bit_count())
+            for rows, size, mask in orbits
+        }
+
     for k in range(0, 10):
         grown, reference = SearchStats(), SearchStats()
-        assert _prefix_orbits(k, grown) == _two_pass_orbits(k, reference), k
-        assert grown.prefix_children == reference.prefix_children, k
-        assert grown.canonical_keyings == reference.canonical_keyings, k
+        orbits = _prefix_orbits(k, grown)
+        assert by_certificate(orbits) == by_certificate(_two_pass_orbits(k, reference)), k
+        assert len(by_certificate(orbits)) == len(orbits), k
+        assert grown.prefix_children <= reference.prefix_children, k
+        assert grown.canonical_keyings <= reference.canonical_keyings, k
 
 
 def test_prefix_orbits_hold_no_level_of_children():
@@ -526,18 +568,20 @@ def test_prefix_orbits_hold_no_level_of_children():
 def test_search_scores_every_class_on_n_minus_1_vertices():
     # completeness of the visit rule: up to isomorphism, the graphs that
     # the search's class walk hands _score_picks are the classes on n - 1
-    # vertices, and for each class their weights times (n - 1) / mu add up
-    # to its size
+    # vertices, and for each class their weights times (n - 1) / mu' add up
+    # to its size, mu' the number of vertices with the largest (degree,
+    # neighbour-degree sum)
     for n in range(3, 9):
         tables = [(2, [d * d for d in range(n + 1)])]
         scored = {}
-        for rows, deg, mask, weight in search._walk_classes(n, search._max_degree_picks):
+        for rows, deg, mask, weight, mu in search._walk_classes(n, search._canonical_picks):
             leaves, counted = search._score_picks(tables, {2: -1}, {2: []}, rows, deg, mask)
             assert leaves == len(_picks(_conflicts(rows, n - 1))) and not counted
-            degrees = deg[: n - 1]
-            assert degrees[n - 2] == max(degrees)
+            pairs = _degree_pairs(rows[: n - 1])
+            assert pairs[n - 2] == max(pairs)
+            assert mu == pairs.count(pairs[n - 2])
             cert = canonical_form(SmallGraph(n - 1, tuple(rows[: n - 1])))
-            total, mu = scored.get(cert, (0, degrees.count(degrees[n - 2])))
+            total, mu = scored.get(cert, (0, mu))
             scored[cert] = (total + weight, mu)
 
         orbits = _prefix_orbits(n - 1)
@@ -553,7 +597,8 @@ def test_class_walk_weights_count_the_graphs_on_n_minus_1_vertices():
     # handed over
     for n in range(1, 9):
         total = 0
-        for rows, deg, mask, weight in search._walk_classes(n, search._twin_picks):
+        for rows, deg, mask, weight, mu in search._walk_classes(n, search._twin_picks):
+            assert mu == max(n - 1, 1)
             total += weight
             assert len(rows) == len(deg) == n and rows[n - 1] == 0
             assert deg == [row.bit_count() for row in rows]
@@ -566,8 +611,8 @@ def test_search_stats_count_the_orbit_walk():
     search_extremal(7, [2], stats=stats)
     assert stats.labeled_prefixes == 806
     assert stats.orbit_representatives == 26
-    assert stats.prefix_children == 49
-    assert stats.canonical_keyings == 9
+    assert stats.prefix_children == 47
+    assert stats.canonical_keyings == 6
     assert stats.labeled_graphs == 316453
     assert 26 <= stats.leaves_walked < 316453
     assert stats.classes == 1 and stats.ties_relabeled >= 1
@@ -575,12 +620,12 @@ def test_search_stats_count_the_orbit_walk():
     # a second call accumulates
     search_extremal(4, [2], stats=stats)
     assert stats.labeled_graphs == 316453 + 64
-    assert stats.prefix_children == 49 + 3
-    # at n = 8 only 2 of the 386 visits hold a leaf large enough to reach
-    # ex_2 = 128 (the join-all bound alone let 175 through)
+    assert stats.prefix_children == 47 + 3
+    # at n = 8 only 2 of the 331 visits hold a leaf large enough to reach
+    # ex_2 = 128
     stats = SearchStats()
     search_extremal(8, [2], stats=stats)
-    assert (stats.visits_scored, stats.visits_counted) == (386, 384)
+    assert (stats.visits_scored, stats.visits_counted) == (331, 329)
     # over p = 1..8 at once, a handful of visits per order list leaves
     listed, relabeled = [], []
     for n in range(2, 11):
@@ -608,7 +653,7 @@ def test_twin_picks_stand_for_every_pick_class_by_class():
             for s in _picks(_conflicts(rows, n)):
                 cls = key(s)
                 every[cls] = every.get(cls, 0) + 1
-            for s, weight in search._twin_picks(rows, n, _listed_mask(rows, n)):
+            for s, weight, _ in search._twin_picks(rows, n, _listed_mask(rows, n)):
                 cls = key(s)
                 kept[cls] = kept.get(cls, 0) + weight
             assert kept == every, rows
@@ -634,6 +679,25 @@ def test_max_degree_picks_are_the_twin_picks_that_top_the_degrees():
     assert checked == 1 + 1 + 2 + 8 + 64 + 806
 
 
+def test_canonical_picks_are_the_max_degree_picks_that_top_the_pairs():
+    # the reference builds each child and compares (degree, neighbour-degree
+    # sum) over its vertices; on every labeled C5-free graph up to 5 vertices
+    checked = ties = 0
+    for n in range(0, 6):
+
+        def leaf(rows):
+            nonlocal checked, ties
+            mask = _listed_mask(rows, n)
+            picks = search._canonical_picks(rows, n, mask)
+            assert picks == _reference_canonical_picks(rows, n), rows
+            checked += 1
+            ties += any(mu > 1 for _, _, mu in picks)
+
+        enumerate_c5_free(n, leaf)
+    assert checked == 1 + 1 + 2 + 8 + 64 + 806
+    assert ties > 400  # graphs where some kept pick leaves j tied on the pair
+
+
 def test_twin_and_max_degree_filters_match_the_references_on_random_graphs():
     # seeded C5-free graphs on 7..11 vertices, some with twins copied in
     rng = random.Random(29)
@@ -654,6 +718,7 @@ def test_twin_and_max_degree_filters_match_the_references_on_random_graphs():
             assert search._twin_picks(rows, n, mask) == _reference_twin_picks(rows, n), rows
             top = search._max_degree_picks(rows, n, mask)
             assert top == _reference_max_degree_picks(rows, n), rows
+            assert search._canonical_picks(rows, n, mask) == _reference_canonical_picks(rows, n), rows
             kept += len(top)
     assert kept > 50
 
@@ -689,7 +754,7 @@ def test_pick_masks_are_the_neighbourhoods_that_close_no_c5():
 
 def test_pick_count_matches_the_listed_picks():
     for n in range(0, 9):
-        for rows, _, mask, _ in search._walk_classes(n, search._twin_picks):
+        for rows, _, mask, _, _ in search._walk_classes(n, search._twin_picks):
             picks = _picks(_conflicts(rows, n - 1))
             assert search._members(mask) == sorted(picks), rows
             assert mask.bit_count() == len(picks), rows
@@ -748,8 +813,9 @@ def test_search_walks_vertex_n_minus_2_through_twin_picks():
     stats = SearchStats()
     found = search_extremal(8, [2], stats=stats)
     assert found[2].visited == stats.labeled_graphs == 9369687
-    # 87,056 below every pick of vertex 6, 45,708 below its twin picks
-    assert stats.leaves_walked == 14437
+    # 87,056 below every pick of vertex 6, 45,708 below its twin picks,
+    # 14,437 below those after which it has the maximum degree
+    assert stats.leaves_walked == 12600
 
 
 def test_subtrees_keep_every_tie_with_the_final_incumbent():
@@ -760,7 +826,7 @@ def test_subtrees_keep_every_tie_with_the_final_incumbent():
             res = ex_p(n, p)
             best, ties = {p: res.value}, {p: []}
             tables = [(p, [d ** p for d in range(n + 1)])]
-            for rows, deg, mask, _ in search._walk_classes(n, search._max_degree_picks):
+            for rows, deg, mask, _, _ in search._walk_classes(n, search._canonical_picks):
                 search._score_picks(tables, best, ties, rows, deg, mask)
             assert best[p] == res.value, (n, p)
             found = {canonical_form(SmallGraph(n, rows)) for rows in ties[p]}
@@ -774,11 +840,11 @@ def test_size_filter_lists_every_tie_a_full_listing_finds():
     ps = range(1, 9)
     for n in range(1, 10):
         values = {p: res.value for p, res in search_extremal(n, ps).items()}
-        visits = list(search._walk_classes(n, search._max_degree_picks))
+        visits = list(search._walk_classes(n, search._canonical_picks))
         last = n - 1
         expected = {p: [] for p in ps}
         scores = {}  # sorted degrees -> e_p for each p
-        for rows, deg, mask, _ in visits:
+        for rows, deg, mask, _, _ in visits:
             for s in range(1 << last):
                 if not mask >> s & 1:
                     continue
@@ -793,7 +859,7 @@ def test_size_filter_lists_every_tie_a_full_listing_finds():
         for p in ps:
             best, ties = {p: values[p]}, {p: []}
             tables = [(p, [d ** p for d in range(n + 1)])]
-            for rows, deg, mask, _ in visits:
+            for rows, deg, mask, _, _ in visits:
                 search._score_picks(tables, best, ties, rows, deg, mask)
             assert best[p] == values[p] and ties[p] == expected[p], (n, p)
             assert expected[p], (n, p)
@@ -807,7 +873,7 @@ def test_skip_bound_is_the_join_of_the_last_vertex_to_every_other():
         everything = (1 << last) - 1
         for p in (1, 2, 3):
             tables = [(p, [d ** p for d in range(n + 1)])]
-            for rows, deg, mask, _ in search._walk_classes(n, search._max_degree_picks):
+            for rows, deg, mask, _, _ in search._walk_classes(n, search._canonical_picks):
                 joined = sum((d + 1) ** p for d in deg[:last]) + last ** p
                 best, ties = {p: joined + 1}, {p: [("kept",)]}
                 leaves, counted = search._score_picks(tables, best, ties, rows, deg, mask)
@@ -839,8 +905,8 @@ def test_search_n9_splits_at_seven_prefix_vertices():
             assert value == 2 * 8 ** p + 7 * 2 ** p
     assert stats.labeled_prefixes == 316453  # the C5-free graphs on 7 vertices
     assert stats.orbit_representatives == 251
-    assert stats.prefix_children == 536
-    assert stats.canonical_keyings == 268
+    assert stats.prefix_children == 470
+    assert stats.canonical_keyings == 172
 
 
 def test_search_n10_row():
@@ -858,10 +924,10 @@ def test_search_n10_row():
         else:
             assert res.value == 2 * 9 ** p + 8 * 2 ** p, p
             assert rec.canonical == book, p
-    # the 929 classes on 8 vertices, grown from 2,042 children
+    # the 929 classes on 8 vertices, grown from 1,723 children
     assert stats.orbit_representatives == 929
-    assert stats.prefix_children == 2042
-    assert stats.canonical_keyings == 1309
+    assert stats.prefix_children == 1723
+    assert stats.canonical_keyings == 786
 
 
 def test_search_n11_at_the_cap():
