@@ -25,24 +25,25 @@ so a permutation of {0..k-1} maps the completions of one prefix
 one-to-one onto the completions of its image, keeping e_p, C5-freeness,
 the isomorphism class and every property the sweeps test.
 _prefix_orbits grows the orbits one vertex at a time and keeps one graph
-per class, making only the children whose new vertex has the maximum
-degree (canonical deletion, McKay, "Isomorph-free exhaustive
-generation", J. Algorithms 1998); that degree rule is one filter on the
-twin picks, _max_degree_picks.  A child is keyed by a cheap invariant
-first, its sorted degrees and its number of picks, and by its canonical
-columns only when another child of its level shares that invariant, in
-one pass that stores only the classes: the first child with an
-invariant is labeled when the second one comes.  At n = 9 that labels
-268 of the 536 children that make the 251 orbits of the 316,453
-prefixes on 7 vertices, without listing the prefixes.  Which
-child represents a class depends on the order of the picks; nothing else
-does.  Both consumers then loop over one class walk, the generator
-_walk_classes: it joins vertex n - 2 to each representative by the step
-that grows the classes, _children, through twin picks only, all of them
-(_twin_picks) for a sweep and those of _max_degree_picks for the search,
-and yields each graph on n - 1 vertices with its pick mask, weighted by
-the orbit size times the picks it stands for, so `visited`, `graphs` and
-`pairs_checked` stay exact labeled counts.  The search starts from the
+per class, making only the children whose new vertex has the largest
+(degree, neighbour-degree sum) (canonical deletion, McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 1998); that rule is one filter on
+the twin picks, _canonical_picks.  A child is keyed by a cheap invariant
+first, its sorted degrees and its number of picks, and by its parent too
+when its new vertex alone has the largest pair, and by its canonical
+columns only when another child of its level shares that key, in one
+pass that stores only the classes: the first child with a key is labeled
+when the second one comes.  At n = 9 that labels 172 of the 470 children
+that make the 251 orbits of the 316,453 prefixes on 7 vertices, without
+listing the prefixes.  Which child represents a class depends on the
+order of the picks; nothing else does.  Both consumers then loop over
+one class walk, the generator _walk_classes: it joins vertex n - 2 to
+each representative by the step that grows the classes, _children,
+through twin picks only, all of them (_twin_picks) for a sweep and those
+of _canonical_picks for the search, and yields each graph on n - 1
+vertices with its pick mask, weighted by the orbit size times the picks
+it stands for, so `visited`, `graphs` and `pairs_checked` stay exact
+labeled counts.  The search starts from the
 e_p of the book graph and of the best K_{b,n-b}, as the constructions
 give them, counts the leaves of the last vertex by popcount, and lists
 only the picks large enough to reach some exponent's incumbent; a sweep
@@ -319,42 +320,41 @@ def _twin_picks(rows, j: int, mask: int) -> list[tuple[int, int, int]]:
     return [(s, weight, j + 1) for s, weight in _twin_weights(smaller, _members(mask))]
 
 
-def _degree_levels(rows, j: int) -> tuple[list[int], list[int]]:
-    """(degrees, levels) of G[0..j-1]: levels[d], d = 0..j + 1, is the set
-    of the vertices of degree d."""
+def _degree_levels(rows, j: int) -> tuple[list[int], list[int], int]:
+    """(degrees, levels, tops) of G[0..j-1]: levels[d], d = 0..j + 1, is
+    the set of the vertices of degree d, and tops, a mask of 2**j bits (see
+    _disjoint), holds the sets S after which vertex j has the maximum
+    degree in G[0..j]: |S| >= top + 1, top the top degree of G[0..j-1], or
+    |S| >= top and S misses every vertex of degree top, since S raises the
+    degrees of its members."""
     degrees = [row.bit_count() for row in rows]
     levels = [0] * (j + 2)
     for v, d in enumerate(degrees):
         levels[d] |= 1 << v
-    return degrees, levels
-
-
-def _max_degree_mask(degrees, levels, j: int) -> int:
-    """The sets S after which vertex j has the maximum degree in G[0..j],
-    as a mask of 2**j bits (see _disjoint): |S| >= top + 1, top the top
-    degree of G[0..j-1], or |S| >= top and S misses every vertex of degree
-    top, since S raises the degrees of its members."""
     top = max(degrees, default=0)
     at_least = _at_least(j)
-    return at_least[top + 1] | at_least[top] & _disjoint(j)[levels[top]]
+    return degrees, levels, at_least[top + 1] | at_least[top] & _disjoint(j)[levels[top]]
+
+
+def _ties(s: int, levels) -> int:
+    """The vertices of G[0..j-1] that end with vertex j's degree |S| once j
+    joins S = s, given the _degree_levels of G[0..j-1]: the members of S of
+    degree |S| - 1 and the others of degree |S|.  (s & levels[-1] is 0 for
+    the one S with |S| - 1 < 0.)"""
+    size = s.bit_count()
+    return s & levels[size - 1] | levels[size] & ~s
 
 
 def _max_degree_picks(rows, j: int, mask: int) -> list[tuple[int, int, int]]:
     """The (S, weight, mu) of _twin_picks after which vertex j has the
-    maximum degree in G[0..j] (_max_degree_mask), in the same order; mu is
-    the number of vertices of G[0..j] with that degree: j, the members of
-    S of degree |S| - 1 and the other vertices of degree |S|.  The picks
-    that one twin pick stands for are its images under automorphisms of
-    G[0..j-1], so the rule passes all of them or none, and only the picks
-    that pass are weighed."""
-    degrees, levels = _degree_levels(rows, j)
-    picks = _twin_picks(rows, j, mask & _max_degree_mask(degrees, levels, j))
-    # s & levels[-1] is 0 for the one pick s = 0 with |S| - 1 < 0
-    return [
-        (s, weight, 1 + (s & levels[size - 1] | levels[size] & ~s).bit_count())
-        for s, weight, _ in picks
-        for size in [s.bit_count()]
-    ]
+    maximum degree in G[0..j] (see _degree_levels), in the same order; mu is
+    the number of vertices of G[0..j] with that degree, j and its _ties.
+    The picks that one twin pick stands for are its images under
+    automorphisms of G[0..j-1], so the rule passes all of them or none, and
+    only the picks that pass are weighed."""
+    _, levels, tops = _degree_levels(rows, j)
+    picks = _twin_picks(rows, j, mask & tops)
+    return [(s, weight, 1 + _ties(s, levels).bit_count()) for s, weight, _ in picks]
 
 
 def _canonical_picks(rows, j: int, mask: int) -> list[tuple[int, int, int]]:
@@ -363,29 +363,28 @@ def _canonical_picks(rows, j: int, mask: int) -> list[tuple[int, int, int]]:
     the degrees of v's neighbours; mu is now the number of vertices of
     G[0..j] that share that largest pair.  In the same order.
 
-    s is needed only for the vertices that tie j's degree, and is read off
-    G[0..j-1] before the child is built: a vertex v below j gains
-    |N(v) & S| from the members of S and, in S, |S| from j, and j's own
-    sum is that of deg + 1 over S.  Like the degree, the pair is kept by
-    every automorphism of G[0..j-1], so the picks that one twin pick
-    stands for pass or fail together, and only those that pass are
-    weighed.
+    s is needed only for the _ties of j, and is read off G[0..j-1] before
+    the child is built: a vertex v below j gains |N(v) & S| from the
+    members of S and, in S, |S| from j, and j's own sum is that of deg + 1
+    over S.  Like the degree, the pair is kept by every automorphism of
+    G[0..j-1], so the picks that one twin pick stands for pass or fail
+    together, and only those that pass are weighed.
     """
-    degrees, levels = _degree_levels(rows, j)
-    smaller, mask = _twin_mask(rows, j, mask & _max_degree_mask(degrees, levels, j))
+    degrees, levels, tops = _degree_levels(rows, j)
+    smaller, mask = _twin_mask(rows, j, mask & tops)
     bit_lists = _bit_lists(j)
     sums = None  # s(v) in G[0..j-1], listed on first need
     kept, mus = [], []
     for s in _members(mask):
-        members = bit_lists[s]
-        size = len(members)
-        ties = s & levels[size - 1] | levels[size] & ~s  # as in _max_degree_picks
+        ties = _ties(s, levels)
         if not ties:
             kept.append(s)
             mus.append(1)
             continue
         if sums is None:
             sums = [sum(map(degrees.__getitem__, bit_lists[row])) for row in rows]
+        members = bit_lists[s]
+        size = len(members)
         own = sum(map(degrees.__getitem__, members)) + size
         mu = 1
         for v in bit_lists[ties]:
@@ -490,7 +489,8 @@ def _prefix_orbits(
                 columns = _canonical_columns(child, j)
                 keyed += 1
                 if columns != entry[3]:
-                    entry = classes.setdefault((*key, columns), [tuple(child), 0, mask, columns, mu])
+                    key += (columns,)
+                    entry = classes.setdefault(key, [tuple(child), 0, mask, columns, mu])
             entry[1] += count
         if stats is not None:
             stats.prefix_children += made
@@ -613,10 +613,13 @@ class SearchStats:
 
     labeled_prefixes: int = 0
     orbit_representatives: int = 0
-    prefix_children: int = 0  # children whose new vertex has the max degree, keyed by invariant
-    canonical_keyings: int = 0  # of those, the ones that shared it and needed canonical columns
+    # children whose new vertex has the largest (degree, neighbour-degree
+    # sum), keyed by invariant, and by parent when no other vertex has it
+    prefix_children: int = 0
+    canonical_keyings: int = 0  # of those, the ones that shared a key and needed canonical columns
     leaves_walked: int = 0
-    visits_scored: int = 0  # graphs on n - 1 vertices whose last vertex has the max degree
+    # graphs on n - 1 vertices whose last vertex has the largest pair
+    visits_scored: int = 0
     visits_counted: int = 0  # of those, the ones whose leaves were counted, not listed
     labeled_graphs: int = 0
     ties_relabeled: int = 0
