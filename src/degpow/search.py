@@ -336,25 +336,22 @@ def _degree_levels(rows, j: int) -> tuple[list[int], list[int], int]:
     return degrees, levels, at_least[top + 1] | at_least[top] & _disjoint(j)[levels[top]]
 
 
-def _ties(s: int, levels) -> int:
-    """The vertices of G[0..j-1] that end with vertex j's degree |S| once j
-    joins S = s, given the _degree_levels of G[0..j-1]: the members of S of
-    degree |S| - 1 and the others of degree |S|.  (s & levels[-1] is 0 for
-    the one S with |S| - 1 < 0.)"""
-    size = s.bit_count()
-    return s & levels[size - 1] | levels[size] & ~s
-
-
 def _max_degree_picks(rows, j: int, mask: int) -> list[tuple[int, int, int]]:
     """The (S, weight, mu) of _twin_picks after which vertex j has the
     maximum degree in G[0..j] (see _degree_levels), in the same order; mu is
-    the number of vertices of G[0..j] with that degree, j and its _ties.
-    The picks that one twin pick stands for are its images under
-    automorphisms of G[0..j-1], so the rule passes all of them or none, and
-    only the picks that pass are weighed."""
+    the number of vertices of G[0..j] with that degree: j, the members of S
+    of degree |S| - 1 and the other vertices of degree |S|, its ties.  The
+    picks that one twin pick stands for are its images under automorphisms
+    of G[0..j-1], so the rule passes all of them or none, and only the
+    picks that pass are weighed."""
     _, levels, tops = _degree_levels(rows, j)
     picks = _twin_picks(rows, j, mask & tops)
-    return [(s, weight, 1 + _ties(s, levels).bit_count()) for s, weight, _ in picks]
+    # s & levels[-1] is 0 for the one pick s = 0 with |S| - 1 < 0
+    return [
+        (s, weight, 1 + (s & levels[size - 1] | levels[size] & ~s).bit_count())
+        for s, weight, _ in picks
+        for size in [s.bit_count()]
+    ]
 
 
 def _canonical_picks(rows, j: int, mask: int) -> list[tuple[int, int, int]]:
@@ -363,7 +360,7 @@ def _canonical_picks(rows, j: int, mask: int) -> list[tuple[int, int, int]]:
     the degrees of v's neighbours; mu is now the number of vertices of
     G[0..j] that share that largest pair.  In the same order.
 
-    s is needed only for the _ties of j, and is read off G[0..j-1] before
+    s is needed only for the ties of j, and is read off G[0..j-1] before
     the child is built: a vertex v below j gains |N(v) & S| from the
     members of S and, in S, |S| from j, and j's own sum is that of deg + 1
     over S.  Like the degree, the pair is kept by every automorphism of
@@ -376,15 +373,15 @@ def _canonical_picks(rows, j: int, mask: int) -> list[tuple[int, int, int]]:
     sums = None  # s(v) in G[0..j-1], listed on first need
     kept, mus = [], []
     for s in _members(mask):
-        ties = _ties(s, levels)
+        members = bit_lists[s]
+        size = len(members)
+        ties = s & levels[size - 1] | levels[size] & ~s  # as in _max_degree_picks
         if not ties:
             kept.append(s)
             mus.append(1)
             continue
         if sums is None:
             sums = [sum(map(degrees.__getitem__, bit_lists[row])) for row in rows]
-        members = bit_lists[s]
-        size = len(members)
         own = sum(map(degrees.__getitem__, members)) + size
         mu = 1
         for v in bit_lists[ties]:
