@@ -11,9 +11,10 @@ of G[0..j-1].  The search and the sweeps therefore add one vertex at a
 time, by one child step (_children), and each graph on j vertices carries
 its pick mask, one integer of 2**j bits whose bit S is set exactly when
 vertex j may take S.  A child's mask follows from its parent's by a few
-ANDs with cached tables (_mask_after), the twin and max-degree rules are
-ANDs on the mask too, and its set bits, the picks, are listed in
-increasing order of S.  Labeled counts grow fast (9,369,687 at n = 8),
+ANDs with cached tables (_mask_after), the twin rule and the degree part
+of the deletion rule are ANDs on the mask too (_canonical_picks compares
+neighbour-degree sums only at degree ties, pick by pick), and its set
+bits, the picks, are listed in increasing order of S.  Labeled counts grow fast (9,369,687 at n = 8),
 which is why the leaf work is all bitmask arithmetic on raw adjacency
 rows; the SmallGraph API appears only at the edges of the module.
 

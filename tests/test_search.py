@@ -500,39 +500,55 @@ def test_prefix_orbit_sizes_are_the_orbit_stabilizer_counts():
             assert size * _automorphisms(rows, k) == math.factorial(k), (k, rows)
 
 
-def _two_pass_orbits(k, stats):
+def _two_pass_orbits(k, stats, picks, parent_keys):
     # the class growth with each level in two passes: list every child and
     # tally the invariants, then key the children whose invariant is shared.
-    # It deletes a vertex of maximum degree, the coarser rule of
-    # _max_degree_picks, and keys no child by its parent
+    # With parent_keys, a child with mu = 1 has its parent in the invariant,
+    # as in _prefix_orbits; a class keeps the mu of its first child
     orbits = [((), 1, 1)]
     for j in range(1, k + 1):
         children = []
         shared = {}
-        for _, child, count, mask, _ in search._children(orbits, j - 1, search._max_degree_picks):
-            invariant = (tuple(sorted(row.bit_count() for row in child)), mask.bit_count())
+        for parent, child, count, mask, mu in search._children(orbits, j - 1, picks):
+            invariant = (
+                parent if parent_keys and mu == 1 else None,
+                tuple(sorted(row.bit_count() for row in child)),
+                mask.bit_count(),
+            )
             shared[invariant] = shared.get(invariant, 0) + 1
-            children.append((tuple(child), count, mask, invariant))
+            children.append((tuple(child), count, mask, mu, invariant))
         classes = {}
-        for child, count, mask, invariant in children:
+        for child, count, mask, mu, invariant in children:
             if shared[invariant] > 1:
                 stats.canonical_keyings += 1
                 key = (invariant, search._canonical_columns(child, j))
             else:
                 key = (invariant, None)
-            classes.setdefault(key, [child, 0, mask])[1] += count
+            classes.setdefault(key, [child, 0, mask, mu])[1] += count
         stats.prefix_children += len(children)
-        orbits = []
-        for child, sigma, mask in classes.values():
-            degrees = [row.bit_count() for row in child]
-            mu = degrees.count(degrees[j - 1])
-            orbits.append((child, search._exact_share(j * sigma, mu), mask))
+        orbits = [
+            (child, search._exact_share(j * sigma, mu), mask)
+            for child, sigma, mask, mu in classes.values()
+        ]
     return orbits
 
 
 def test_prefix_orbits_equal_the_two_pass_growth():
-    # the same classes, by certificate, with the same sizes and pick counts;
-    # the finer deletion rule and the parent keys make no more children and
+    # under the same rule and keys: the same representatives, sizes, masks
+    # and order, and the same children keyed, so the one pass labels exactly
+    # the children whose key another child shares
+    for k in range(0, 10):
+        grown, reference = SearchStats(), SearchStats()
+        orbits = _prefix_orbits(k, grown)
+        assert orbits == _two_pass_orbits(k, reference, search._canonical_picks, True), k
+        assert grown.prefix_children == reference.prefix_children, k
+        assert grown.canonical_keyings == reference.canonical_keyings, k
+
+
+def test_prefix_orbits_equal_the_degree_only_growth_by_certificate():
+    # against the coarser rule of _max_degree_picks without parent keys: the
+    # same classes, by certificate, with the same sizes and pick counts; the
+    # finer deletion rule and the parent keys make no more children and
     # label no more of them
     def by_certificate(orbits):
         return {
@@ -541,12 +557,13 @@ def test_prefix_orbits_equal_the_two_pass_growth():
         }
 
     for k in range(0, 10):
-        grown, reference = SearchStats(), SearchStats()
+        grown, coarse = SearchStats(), SearchStats()
         orbits = _prefix_orbits(k, grown)
-        assert by_certificate(orbits) == by_certificate(_two_pass_orbits(k, reference)), k
+        reference = _two_pass_orbits(k, coarse, search._max_degree_picks, False)
+        assert by_certificate(orbits) == by_certificate(reference), k
         assert len(by_certificate(orbits)) == len(orbits), k
-        assert grown.prefix_children <= reference.prefix_children, k
-        assert grown.canonical_keyings <= reference.canonical_keyings, k
+        assert grown.prefix_children <= coarse.prefix_children, k
+        assert grown.canonical_keyings <= coarse.canonical_keyings, k
 
 
 def test_prefix_orbits_hold_no_level_of_children():
