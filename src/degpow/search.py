@@ -321,54 +321,32 @@ def _twin_picks(rows, j: int, mask: int) -> list[tuple[int, int, int]]:
     return [(s, weight, j + 1) for s, weight in _twin_weights(smaller, _members(mask))]
 
 
-def _degree_levels(rows, j: int) -> tuple[list[int], list[int], int]:
-    """(degrees, levels, tops) of G[0..j-1]: levels[d], d = 0..j + 1, is
-    the set of the vertices of degree d, and tops, a mask of 2**j bits (see
-    _disjoint), holds the sets S after which vertex j has the maximum
-    degree in G[0..j]: |S| >= top + 1, top the top degree of G[0..j-1], or
-    |S| >= top and S misses every vertex of degree top, since S raises the
-    degrees of its members."""
+def _canonical_picks(rows, j: int, mask: int) -> list[tuple[int, int, int]]:
+    """The (S, weight, mu) of _twin_picks after which vertex j has the
+    largest (degree, neighbour-degree sum) in G[0..j], the sum s(v) of the
+    degrees of v's neighbours, in the same order; mu is the number of
+    vertices of G[0..j] that share that largest pair.
+
+    The degree part is one AND on the mask: vertex j has the maximum
+    degree in G[0..j] when |S| >= top + 1, top the top degree of
+    G[0..j-1], or when |S| >= top and S misses every vertex of degree top,
+    since S raises the degrees of its members.  The vertices that then tie
+    j's degree are the members of S of degree |S| - 1 and the other
+    vertices of degree |S|.
+    s is needed only for those ties, and is read off G[0..j-1] before the
+    child is built: a vertex v below j gains |N(v) & S| from the members
+    of S and, in S, |S| from j, and j's own sum is that of deg + 1 over S.
+    The pair is kept by every automorphism of G[0..j-1], so the picks that
+    one twin pick stands for, its images, pass or fail together, and only
+    those that pass are weighed.
+    """
     degrees = [row.bit_count() for row in rows]
-    levels = [0] * (j + 2)
+    levels = [0] * (j + 2)  # levels[d]: the vertices of degree d
     for v, d in enumerate(degrees):
         levels[d] |= 1 << v
     top = max(degrees, default=0)
     at_least = _at_least(j)
-    return degrees, levels, at_least[top + 1] | at_least[top] & _disjoint(j)[levels[top]]
-
-
-def _max_degree_picks(rows, j: int, mask: int) -> list[tuple[int, int, int]]:
-    """The (S, weight, mu) of _twin_picks after which vertex j has the
-    maximum degree in G[0..j] (see _degree_levels), in the same order; mu is
-    the number of vertices of G[0..j] with that degree: j, the members of S
-    of degree |S| - 1 and the other vertices of degree |S|, its ties.  The
-    picks that one twin pick stands for are its images under automorphisms
-    of G[0..j-1], so the rule passes all of them or none, and only the
-    picks that pass are weighed."""
-    _, levels, tops = _degree_levels(rows, j)
-    picks = _twin_picks(rows, j, mask & tops)
-    # s & levels[-1] is 0 for the one pick s = 0 with |S| - 1 < 0
-    return [
-        (s, weight, 1 + (s & levels[size - 1] | levels[size] & ~s).bit_count())
-        for s, weight, _ in picks
-        for size in [s.bit_count()]
-    ]
-
-
-def _canonical_picks(rows, j: int, mask: int) -> list[tuple[int, int, int]]:
-    """The (S, weight, mu) of _max_degree_picks after which vertex j has
-    the largest (degree, neighbour-degree sum) in G[0..j], the sum s(v) of
-    the degrees of v's neighbours; mu is now the number of vertices of
-    G[0..j] that share that largest pair.  In the same order.
-
-    s is needed only for the ties of j, and is read off G[0..j-1] before
-    the child is built: a vertex v below j gains |N(v) & S| from the
-    members of S and, in S, |S| from j, and j's own sum is that of deg + 1
-    over S.  Like the degree, the pair is kept by every automorphism of
-    G[0..j-1], so the picks that one twin pick stands for pass or fail
-    together, and only those that pass are weighed.
-    """
-    degrees, levels, tops = _degree_levels(rows, j)
+    tops = at_least[top + 1] | at_least[top] & _disjoint(j)[levels[top]]
     smaller, mask = _twin_mask(rows, j, mask & tops)
     bit_lists = _bit_lists(j)
     sums = None  # s(v) in G[0..j-1], listed on first need
@@ -376,7 +354,8 @@ def _canonical_picks(rows, j: int, mask: int) -> list[tuple[int, int, int]]:
     for s in _members(mask):
         members = bit_lists[s]
         size = len(members)
-        ties = s & levels[size - 1] | levels[size] & ~s  # as in _max_degree_picks
+        # s & levels[-1] is 0 for the one pick s = 0 with |S| - 1 < 0
+        ties = s & levels[size - 1] | levels[size] & ~s
         if not ties:
             kept.append(s)
             mus.append(1)
@@ -464,8 +443,8 @@ def _prefix_orbits(
     that each vertex has that pair in equally many members, so sigma is
     |C| * mu' / j, with mu' the number of vertices of C that have the
     largest pair, and |C| = j * sigma / mu', an exact division.  The
-    argument holds for any vertex invariant; the degree alone is the
-    coarser rule of _max_degree_picks.
+    argument holds for any vertex invariant that isomorphisms keep, the
+    degree alone among them.
     """
     orbits = [((), 1, 1)]
     for j in range(1, k + 1):

@@ -500,6 +500,20 @@ def test_prefix_orbit_sizes_are_the_orbit_stabilizer_counts():
             assert size * _automorphisms(rows, k) == math.factorial(k), (k, rows)
 
 
+def test_visited_is_the_orbit_stabilizer_sum_of_the_picks():
+    # a second derivation of `visited` that needs none of the sigma / mu'
+    # algebra: each class D on n - 1 vertices has (n - 1)! / |Aut D|
+    # labeled members, each with as many picks for vertex n - 1 as D's
+    # mask has set bits
+    for n in range(1, 11):
+        k = n - 1
+        total = sum(
+            math.factorial(k) // _automorphisms(rows, k) * mask.bit_count()
+            for rows, _, mask in _prefix_orbits(k)
+        )
+        assert total == search_extremal(n, [2])[2].visited, n
+
+
 def _two_pass_orbits(k, stats, picks, parent_keys):
     # the class growth with each level in two passes: list every child and
     # tally the invariants, then key the children whose invariant is shared.
@@ -546,10 +560,14 @@ def test_prefix_orbits_equal_the_two_pass_growth():
 
 
 def test_prefix_orbits_equal_the_degree_only_growth_by_certificate():
-    # against the coarser rule of _max_degree_picks without parent keys: the
+    # against the coarser degree-only rule without parent keys, its picks
+    # from the reference, which shares no code with _canonical_picks: the
     # same classes, by certificate, with the same sizes and pick counts; the
     # finer deletion rule and the parent keys make no more children and
     # label no more of them
+    def degree_only(rows, j, mask):
+        return _reference_max_degree_picks(rows, j)
+
     def by_certificate(orbits):
         return {
             canonical_form(SmallGraph(k, rows)): (size, mask.bit_count())
@@ -559,7 +577,7 @@ def test_prefix_orbits_equal_the_degree_only_growth_by_certificate():
     for k in range(0, 10):
         grown, coarse = SearchStats(), SearchStats()
         orbits = _prefix_orbits(k, grown)
-        reference = _two_pass_orbits(k, coarse, search._max_degree_picks, False)
+        reference = _two_pass_orbits(k, coarse, degree_only, False)
         assert by_certificate(orbits) == by_certificate(reference), k
         assert len(by_certificate(orbits)) == len(orbits), k
         assert grown.prefix_children <= coarse.prefix_children, k
@@ -678,10 +696,23 @@ def test_twin_picks_stand_for_every_pick_class_by_class():
         enumerate_c5_free(n, leaf)
 
 
-def test_max_degree_picks_are_the_twin_picks_that_top_the_degrees():
-    # the reference is the rule applied after the fact: every listed twin
-    # pick, kept when the new vertex ends with the maximum degree, in
-    # increasing order; on every labeled C5-free graph up to 5 vertices
+def _top_the_degrees(picks, rows, j):
+    """Whether every (S, weight, mu) of picks is a reference twin pick after
+    which vertex j has the maximum degree, with its weight, and mu at most
+    the number of vertices that share that degree."""
+    degree_only = {s: (weight, mu) for s, weight, mu in _reference_max_degree_picks(rows, j)}
+    return all(
+        s in degree_only and degree_only[s][0] == weight and mu <= degree_only[s][1]
+        for s, weight, mu in picks
+    )
+
+
+def test_twin_picks_are_the_listed_picks_and_canonical_picks_top_the_degrees():
+    # the references are the rules applied after the fact: every listed
+    # pick that meets each twin class in its smallest members, and of
+    # those, the ones after which the new vertex ends with the maximum
+    # degree, in increasing order; on every labeled C5-free graph up to 5
+    # vertices
     checked = 0
     for n in range(0, 6):
 
@@ -689,14 +720,14 @@ def test_max_degree_picks_are_the_twin_picks_that_top_the_degrees():
             nonlocal checked
             mask = _listed_mask(rows, n)
             assert search._twin_picks(rows, n, mask) == _reference_twin_picks(rows, n), rows
-            assert search._max_degree_picks(rows, n, mask) == _reference_max_degree_picks(rows, n), rows
+            assert _top_the_degrees(search._canonical_picks(rows, n, mask), rows, n), rows
             checked += 1
 
         enumerate_c5_free(n, leaf)
     assert checked == 1 + 1 + 2 + 8 + 64 + 806
 
 
-def test_canonical_picks_are_the_max_degree_picks_that_top_the_pairs():
+def test_canonical_picks_are_the_twin_picks_that_top_the_pairs():
     # the reference builds each child and compares (degree, neighbour-degree
     # sum) over its vertices; on every labeled C5-free graph up to 5 vertices
     checked = ties = 0
@@ -733,9 +764,9 @@ def test_twin_and_max_degree_filters_match_the_references_on_random_graphs():
             mask = _pick_mask(rows, n)
             assert mask == _listed_mask(rows, n), rows
             assert search._twin_picks(rows, n, mask) == _reference_twin_picks(rows, n), rows
-            top = search._max_degree_picks(rows, n, mask)
-            assert top == _reference_max_degree_picks(rows, n), rows
-            assert search._canonical_picks(rows, n, mask) == _reference_canonical_picks(rows, n), rows
+            top = search._canonical_picks(rows, n, mask)
+            assert top == _reference_canonical_picks(rows, n), rows
+            assert _top_the_degrees(top, rows, n), rows
             kept += len(top)
     assert kept > 50
 
@@ -826,12 +857,25 @@ def test_search_seeds_are_c5_free_constructions_below_ex_p():
             assert seed <= found[p].value, (n, p)
 
 
-def test_search_walks_vertex_n_minus_2_through_twin_picks():
+def test_search_from_a_zero_seed_finds_the_same_results(monkeypatch):
+    # the seeds already equal ex_p from n = 5 on, so only the small orders
+    # raise the incumbent during the walk; from 0 every order from n = 2 on
+    # does, and the leaves scored below the final value must not survive
+    ps = range(1, 9)
+    seeded = [search_extremal(n, ps) for n in range(0, 10)]
+    monkeypatch.setattr(search, "_seed", lambda n, p: 0)
+    for n, found in enumerate(seeded):
+        assert search_extremal(n, ps) == found, n
+
+
+def test_search_walks_vertex_n_minus_2_through_canonical_picks():
     stats = SearchStats()
     found = search_extremal(8, [2], stats=stats)
     assert found[2].visited == stats.labeled_graphs == 9369687
     # 87,056 below every pick of vertex 6, 45,708 below its twin picks,
-    # 14,437 below those after which it has the maximum degree
+    # 14,437 below those after which it has the maximum degree, and
+    # 12,600 below those after which it has the largest (degree,
+    # neighbour-degree sum), the picks of _canonical_picks
     assert stats.leaves_walked == 12600
 
 
