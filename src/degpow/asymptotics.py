@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .constructions import DegreeProfile
 
 RationalLike = Union[int, str, float, Fraction]
 
@@ -141,19 +140,6 @@ class ParametricFamily:
         if p < 1:
             raise ValueError(f"exponent p must be >= 1, got {p}")
         return sum((cnt(n) * deg(n) ** p for cnt, deg in self.terms), Fraction(0))
-
-    def profile_at(self, n: int) -> DegreeProfile:
-        """Materialize the profile at a concrete n (entries must be integers)."""
-        pairs = []
-        for cnt, deg in self.terms:
-            c, d = cnt(n), deg(n)
-            if c.denominator != 1 or d.denominator != 1:
-                raise ValueError(f"family {self.name} is not integral at n={n}: ({c}, {d})")
-            if c < 0 or d < 0:
-                raise ValueError(f"family {self.name} is negative at n={n}: ({c}, {d})")
-            if c > 0:
-                pairs.append((c.numerator, d.numerator))
-        return DegreeProfile(tuple(pairs))
 
 
 def _family(name: str, params: dict[str, Fraction], terms) -> ParametricFamily:
@@ -316,8 +302,7 @@ def expand_ep(family: ParametricFamily, p: int) -> NPolynomial:
 
 def leading_coefficient(a: RationalLike, p: int) -> Fraction:
     """Coefficient of n^(p+1) shared by gprime, gstar, and kbip at split a."""
-    a = _frac(a)
-    return a * (1 - a) ** p + a ** p * (1 - a)
+    return split_objective(_frac(a), p)
 
 
 def gprime_np_coefficient(a: RationalLike, p: int) -> Fraction:
@@ -365,7 +350,7 @@ def f_value(a, y, p: int):
     if not 0 < y <= 1 - a:
         raise ValueError(f"y must satisfy 0 < y <= 1 - a, got y={y}, a={a}")
     rest = 1 - a - y
-    return a * (1 - a) ** p + a ** p * (1 - a) - ((y + a) * rest ** p + rest * a ** p)
+    return split_objective(a, p) - ((y + a) * rest ** p + rest * a ** p)
 
 
 @dataclass(frozen=True, slots=True)

@@ -44,17 +44,16 @@ through twin picks only, all of them (_twin_picks) for a sweep and those
 of _canonical_picks for the search, and yields each graph on n - 1
 vertices with its pick mask, weighted by the orbit size times the picks
 it stands for, so `visited`, `graphs` and `pairs_checked` stay exact
-labeled counts.  The search starts from the
-e_p of the book graph and of the best K_{b,n-b}, as the constructions
-give them, counts the leaves of the last vertex by popcount, and lists
-only the picks large enough to reach some exponent's incumbent; a sweep
-lists every pick.  One loop, _check_picks, joins the last vertex in place
-to each listed pick: the search reads the leaf's e_p off its degrees, and
-a sweep checks the leaf and counts the violations it shows, weighted like
-the graphs.  Violations name labeled graphs, so a
-sweep that counts any, up to MAX_LISTED_VIOLATIONS, lists them with the
-labeled reference, _run_tree, which must find exactly as many.  Everything
-runs in one process.
+labeled counts.  The search starts every exponent's incumbent at 0, so it
+leans on no construction it could be checked against, counts the leaves
+of the last vertex by popcount, and lists only the picks large enough to
+reach some exponent's best e_p so far; a sweep lists every pick.  One
+loop, _check_picks, joins the last vertex in place to each listed pick:
+the search reads the leaf's e_p off its degrees, and a sweep checks the
+leaf and counts the violations it shows, weighted like the graphs.
+Violations name labeled graphs, so a sweep that counts any, up to
+MAX_LISTED_VIOLATIONS, lists them with the labeled reference, _run_tree,
+which must find exactly as many.  Everything runs in one process.
 """
 
 from __future__ import annotations
@@ -66,8 +65,6 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterable, Optional, Sequence
 
-from .asymptotics import best_biclique_split
-from .constructions import JoinCliqueEmpty, degree_profile
 from .graphs import (
     CapacityError,
     SmallGraph,
@@ -570,16 +567,6 @@ def _score_picks(tables, best, ties, rows, deg, mask) -> tuple[int, bool]:
     return mask.bit_count(), False
 
 
-def _seed(n: int, p: int) -> int:
-    """The higher e_p of the book graph K2 + empty(n - 2) and of the best
-    complete bipartite K_{b,n-b}, as the constructions give them, and 0
-    below n = 2.  Both are C5-free, so ex_p(n, C5) is at least this."""
-    if n < 2:
-        return 0
-    book = degree_profile(JoinCliqueEmpty(2, n - 2)).power_sum(p)
-    return max(book, best_biclique_split(n, p)[1])
-
-
 @dataclass(slots=True)
 class SearchStats:
     """What search_extremal did, summed over the calls it is handed to.
@@ -632,8 +619,7 @@ def search_extremal(
             raise ValueError(f"exponent p must be >= 1, got {p}")
 
     tables = [(p, [d ** p for d in range(n + 1)]) for p in ps]
-    # the seeds are reached by some leaf, and >= keeps every leaf that ties
-    best = {p: _seed(n, p) for p in ps}
+    best = dict.fromkeys(ps, 0)
     ties: dict[int, list[tuple[int, ...]]] = {p: [] for p in ps}
     # Every class C on n - 1 vertices is visited, with vertex n - 2 at the
     # largest (degree, neighbour-degree sum), so every leaf class is
@@ -719,7 +705,8 @@ def classify_maximizers(result: SearchResult) -> dict:
                 "biclique": list(rec.biclique) if rec.biclique else None,
                 "max_degree": rec.max_degree,
                 "edge_count": rec.edge_count,
-                "max_degree_ratio": f"{rec.max_degree}/{result.n}",
+                # Delta/n, undefined at n = 0 (see max_degree_ratio)
+                "max_degree_ratio": f"{rec.max_degree}/{result.n}" if result.n else None,
             }
         )
     if not entries:

@@ -147,17 +147,7 @@ def test_expand_ep_matches_repeated_multiplication():
             assert expand_ep(fam, p) == reference, (fam.name, fam.params, p)
 
 
-def test_profile_at_materializes_integral_points():
-    fam = family_of("gprime", a=HALF)
-    prof = fam.profile_at(20)
-    assert prof.counter() == {10: 9, 2: 2, 8: 9}
-    with pytest.raises(ValueError):
-        fam.profile_at(21)  # an = 10.5, not integral
-    with pytest.raises(ValueError):
-        family_of("gstar", a=HALF).profile_at(4)  # gadget degree (1-a)n - 3 = -1
-
-
-def test_profile_at_matches_construction_power_sums():
+def test_family_power_sums_match_construction_power_sums():
     from degpow.constructions import GPrime, GStar, degree_profile
 
     for n in (20, 40, 100, 10 ** 4):

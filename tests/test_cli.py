@@ -347,6 +347,15 @@ def test_sweep_lists_a_repeated_exponent_once(capsys):
     assert [(row["n"], row["p"]) for row in payload["report"]] == [(4, 3), (4, 1), (5, 3), (5, 1)]
 
 
+def test_sweep_writes_null_ratio_at_order_zero(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--n-min", "0", "--n-max", "1", "--p", "1")
+    assert code == 0
+    assert out.count('"max_degree_ratio": null') == 1
+    payload = json.loads(out)
+    ratios = [row["maximizer_classes"][0]["max_degree_ratio"] for row in payload["report"]]
+    assert ratios == [None, "0/1"]
+
+
 def test_sweep_rejects_inverted_range(capsys):
     assert run_cli(capsys, "sweep", "--n-min", "6", "--n-max", "4")[0] == 2
 

@@ -49,6 +49,8 @@ def test_help_loads_no_engine_module():
     [
         (("epow", "gprime:n=20,d=10", "--p", "2"), {"search", "asymptotics", "claims"}),
         (("verify", "turan-closed-form"), {"search"}),
+        (("search", "--n", "6", "--p", "2"), {"asymptotics", "constructions", "claims"}),
+        (("optimize-c", "--p", "4"), {"constructions", "search"}),
     ],
 )
 def test_command_loads_only_what_it_runs(argv, absent):

@@ -15,6 +15,7 @@ import networkx as nx
 import pytest
 
 from degpow import search
+from degpow.asymptotics import best_biclique_split
 from degpow.constructions import (
     CompleteBipartite,
     GPrime,
@@ -22,6 +23,7 @@ from degpow.constructions import (
     JoinCliqueEmpty,
     bipartite_completion,
     build,
+    degree_profile,
 )
 from degpow.graphs import (
     CapacityError,
@@ -376,7 +378,7 @@ def _brute_extremal(n, ps):
 
 
 def test_orbit_search_matches_labeled_brute_force():
-    ps = range(1, 7)
+    ps = range(1, 9)
     for n in range(0, 8):
         found = search_extremal(n, ps)
         for p, (value, count, classes) in _brute_extremal(n, ps).items():
@@ -656,19 +658,19 @@ def test_search_stats_count_the_orbit_walk():
     search_extremal(4, [2], stats=stats)
     assert stats.labeled_graphs == 316453 + 64
     assert stats.prefix_children == 47 + 3
-    # at n = 8 only 2 of the 331 visits hold a leaf large enough to reach
-    # ex_2 = 128
+    # at n = 8 only 10 of the 331 visits hold a leaf large enough to reach
+    # the incumbent, which rises from 0 to ex_2 = 128 during the walk
     stats = SearchStats()
     search_extremal(8, [2], stats=stats)
-    assert (stats.visits_scored, stats.visits_counted) == (331, 329)
-    # over p = 1..8 at once, a handful of visits per order list leaves
+    assert (stats.visits_scored, stats.visits_counted) == (331, 321)
+    # over p = 1..8 at once, a few dozen visits per order at most list leaves
     listed, relabeled = [], []
     for n in range(2, 11):
         stats = SearchStats()
         search_extremal(n, range(1, 9), stats=stats)
         listed.append(stats.visits_scored - stats.visits_counted)
         relabeled.append(stats.ties_relabeled)
-    assert listed == [1, 1, 2, 5, 7, 6, 4, 4, 4]
+    assert listed == [1, 2, 4, 8, 11, 12, 15, 23, 32]
     assert relabeled == [8, 8, 8, 28, 22, 19, 14, 18, 14]
 
 
@@ -840,10 +842,12 @@ def test_an_inexact_orbit_division_raises_under_python_o():
     assert proc.stdout == "7 / 2 is not exact\n"
 
 
-def test_search_seeds_are_c5_free_constructions_below_ex_p():
-    # the incumbent starts at the book graph K2 + empty(n - 2) or the best
-    # K_{b,n-b}; a seed above ex_p would hide the true maximizers
-    for n in range(0, 10):
+def test_search_values_are_the_book_graph_or_the_best_split():
+    # the search starts every incumbent at 0 and uses no construction, so
+    # the book graph K2 + empty(n - 2) and every K_{b,n-b}, all C5-free,
+    # check it from outside: none beats ex_p, and from n = 5 on the better
+    # of the book graph and the best split is ex_p
+    for n in range(0, 11):
         found = search_extremal(n, range(1, 9))
         graphs = [build(CompleteBipartite(b, n - b)) for b in range(1, n // 2 + 1)]
         if n >= 2:
@@ -851,21 +855,12 @@ def test_search_seeds_are_c5_free_constructions_below_ex_p():
         for g in graphs:
             assert not contains_cycle(g, 5), to_graph6(g)
         for p in range(1, 9):
-            seed = search._seed(n, p)
+            assert found[p].maximizers, (n, p)
             values = [degree_power_sum(degree_sequence(g), p) for g in graphs]
-            assert seed == max(values, default=0), (n, p)
-            assert seed <= found[p].value, (n, p)
-
-
-def test_search_from_a_zero_seed_finds_the_same_results(monkeypatch):
-    # the seeds already equal ex_p from n = 5 on, so only the small orders
-    # raise the incumbent during the walk; from 0 every order from n = 2 on
-    # does, and the leaves scored below the final value must not survive
-    ps = range(1, 9)
-    seeded = [search_extremal(n, ps) for n in range(0, 10)]
-    monkeypatch.setattr(search, "_seed", lambda n, p: 0)
-    for n, found in enumerate(seeded):
-        assert search_extremal(n, ps) == found, n
+            assert max(values, default=0) <= found[p].value, (n, p)
+            if n >= 5:
+                book = degree_profile(JoinCliqueEmpty(2, n - 2)).power_sum(p)
+                assert found[p].value == max(book, best_biclique_split(n, p)[1]), (n, p)
 
 
 def test_search_walks_vertex_n_minus_2_through_canonical_picks():
@@ -1100,7 +1095,15 @@ def test_max_degree_ratio_is_undefined_at_order_zero():
     assert len(res.maximizers) == 1
     with pytest.raises(ValueError, match="undefined at n = 0"):
         max_degree_ratio(res)
-    assert classify_maximizers(res)["maximizer_classes"][0]["max_degree_ratio"] == "0/0"
+    assert classify_maximizers(res)["maximizer_classes"][0]["max_degree_ratio"] is None
+
+
+def test_classification_report_writes_no_ratio_only_at_order_zero():
+    ratios = [
+        [entry["max_degree_ratio"] for entry in row["maximizer_classes"]]
+        for row in search.classification_report(range(0, 4), [1])
+    ]
+    assert ratios == [[None], ["0/1"], ["1/2"], ["2/3"]]
 
 
 # ---------------------------------------------------------------------------
