@@ -192,23 +192,20 @@ def _cmd_epow(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    from .search import SearchStats, search_extremal
+    from .search import SearchStats, classify_maximizers, search_extremal
 
     stats = SearchStats() if args.stats else None
     start = time.perf_counter()
     result = search_extremal(args.n, [args.p], force=args.force, stats=stats)[args.p]
     elapsed_ms = int((time.perf_counter() - start) * 1000)
+    classes = classify_maximizers(result)
     payload = {
         "n": result.n,
         "p": result.p,
-        "ex_p": str(result.value),
+        "ex_p": classes["ex_p"],
         "maximizers": [
-            {
-                "graph6": rec.canonical.decode("ascii"),
-                "biclique": list(rec.biclique) if rec.biclique else None,
-                "max_degree": rec.max_degree,
-            }
-            for rec in result.maximizers
+            {key: entry[key] for key in ("graph6", "biclique", "max_degree")}
+            for entry in classes["maximizer_classes"]
         ],
         "visited": result.visited,
         "elapsed_ms": elapsed_ms,
@@ -232,16 +229,8 @@ def _cmd_optimize_c(args) -> int:
 def _cmd_verify(args) -> int:
     from .claims import run_all, run_claim
 
-    params = {
-        "p": args.p,
-        "a": args.a,
-        "y": args.y,
-        "x": args.x,
-        "step": args.step,
-        "n": args.n,
-        "d": args.d,
-        "tol": args.tol,
-    }
+    # the claim parameters are the verify options, in the order declared
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "claim", "out")}
     if args.claim == "all":
         foreign = [k for k, v in params.items() if v is not None and k != "p"]
         if foreign:

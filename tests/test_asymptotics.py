@@ -214,6 +214,24 @@ def test_case31_leading_and_gap_identity():
             assert f_value(a, y, p) > 0
 
 
+def test_claim_case31_gap_identity_reads_the_expansion(monkeypatch):
+    # the witness compares the expansion's own lead with the gap, so an
+    # expansion with a wrong n^{p+1} coefficient breaks the identity
+    from degpow import claims
+
+    def shifted(family, p):
+        poly = expand_ep(family, p)
+        coeffs = list(poly.coeffs)
+        coeffs[p + 1] += Fraction(1, 7)
+        return NPolynomial.of(coeffs)
+
+    monkeypatch.setattr(claims, "expand_ep", shifted)
+    for p in (2, 3, 5):
+        report = run_claim("case31", p=p)
+        assert report["witness"]["gap_identity"] is False, p
+        assert report["pass"] is False, p
+
+
 def test_f_value_examples():
     assert f_value(HALF, Fraction(1, 4), 2) == Fraction(9, 64)
     for a in A_GRID:

@@ -261,6 +261,14 @@ def test_verify_all_rejects_foreign_flags(capsys):
     code, _, err = run_cli(capsys, "verify", "all", "--a", "1/2")
     assert code == 2
     assert "only --p" in err
+    # the foreign flags are named in the order the verify options declare them
+    code, _, err = run_cli(capsys, "verify", "all", "--a", "1/2", "--x", "2")
+    assert code == 2
+    assert "only --p, got --a --x\n" in err
+    # a single claim rejects an option it does not take
+    code, _, err = run_cli(capsys, "verify", "case32", "--n", "5")
+    assert code == 2
+    assert "rejected parameters ['n']" in err
 
 
 def test_verify_single_claim_with_params(capsys):
@@ -303,6 +311,12 @@ def test_verify_turan_closed_form_below_two_vertices_is_a_usage_error(capsys, n)
     assert f"order must be >= 2, got {n}" in err
 
 
+def test_verify_split_match_below_two_vertices_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "split-match", "--n", "1")
+    assert code == 2 and out == ""
+    assert "need n >= 2 to split, got 1" in err
+
+
 @pytest.mark.parametrize("n, d", [(7, 3), (9, 5), (12, 6), (20, 10), (20, 14)])
 def test_verify_degree_lists_witness_is_the_built_histogram(capsys, n, d):
     # a degree that two profile pairs share, like the hub's, counts both
@@ -315,8 +329,11 @@ def test_verify_degree_lists_witness_is_the_built_histogram(capsys, n, d):
         assert profile == Counter(map(str, degree_sequence(build(spec)))), (label, profile)
 
 
-def test_verify_invalid_exponent(capsys):
-    assert run_cli(capsys, "verify", "leading-coeff", "--p", "0")[0] == 2
+@pytest.mark.parametrize("claim", [*CLAIMS, "all"])
+def test_verify_invalid_exponent(capsys, claim):
+    code, out, err = run_cli(capsys, "verify", claim, "--p", "0")
+    assert code == 2 and out == ""
+    assert "exponent p must be an integer >= 1, got 0" in err
 
 
 # ---------------------------------------------------------------------------
