@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
+from .graphs import _check_p
+
 
 RationalLike = Union[int, str, float, Fraction]
 
@@ -137,8 +139,7 @@ class ParametricFamily:
 
     def power_sum_at(self, n: int, p: int) -> Fraction:
         """sum(count(n) * degree(n)**p), exact, no integrality demanded."""
-        if p < 1:
-            raise ValueError(f"exponent p must be >= 1, got {p}")
+        _check_p(p)
         return sum((cnt(n) * deg(n) ** p for cnt, deg in self.terms), Fraction(0))
 
 
@@ -274,8 +275,7 @@ def expand_ep(family: ParametricFamily, p: int) -> NPolynomial:
     integer numerators over one common denominator, so Fractions are built
     only for the final coefficients.
     """
-    if p < 1:
-        raise ValueError(f"exponent p must be >= 1, got {p}")
+    _check_p(p)
     num = [0] * (p + 2)
     den = 1
     for cnt, deg in family.terms:
@@ -342,8 +342,7 @@ def f_value(a, y, p: int):
     f(a, y) = a(1-a)^p + a^p(1-a) - [(y+a)(1-a-y)^p + (1-a-y)a^p].
     Accepts Fraction (exact) or float arguments; 1/2 <= a < 1, 0 < y <= 1-a.
     """
-    if p < 1:
-        raise ValueError(f"exponent p must be >= 1, got {p}")
+    _check_p(p)
     half = Fraction(1, 2) if isinstance(a, Fraction) else 0.5
     if not half <= a < 1:
         raise ValueError(f"a must satisfy 1/2 <= a < 1, got {a}")
@@ -424,8 +423,7 @@ def verify_f_positive(p: int, step: RationalLike) -> FPositivityReport:
     0 < y <= R, because R - y < 1/2 <= a < p(y+a) makes the first term
     at most 0 and a^p > 0.  The branch and bound does not rely on this.
     """
-    if p < 1:
-        raise ValueError(f"exponent p must be >= 1, got {p}")
+    _check_p(p)
     step = _frac(step)
     if not 0 < step <= Fraction(1, 2):
         raise ValueError(f"step must satisfy 0 < step <= 1/2, got {step}")
@@ -509,8 +507,7 @@ def split_constant(p: int, tol: float = 1e-9) -> SplitConstant:
     m odd is a root of F'.  More sign changes (none for p <= 2000) leave
     [1/2, 1] whole and the bracket uncertified.
     """
-    if p < 1:
-        raise ValueError(f"exponent p must be >= 1, got {p}")
+    _check_p(p)
     if not 0 < tol < 1e-2:
         raise ValueError(f"tol must be in (0, 1e-2), got {tol}")
     slope, changes = _split_slope(p)
@@ -566,7 +563,10 @@ def _slope_sign(slope: list[int], num: int, den: int) -> int:
 
 def optimize_c(p: int, tol: float = 1e-9) -> float:
     """c(p) as a float: the midpoint of split_constant(p, tol), so within
-    tol / 2 of c(p); float64 holds that dyadic exactly for tol >= 2^-52."""
+    tol / 2 of c(p); float64 holds that dyadic exactly for tol >= 2^-52,
+    and a smaller tol raises ValueError."""
+    if tol < 2.0 ** -52:
+        raise ValueError(f"tol must be >= 2^-52 for a float c(p), got {tol}")
     bracket = split_constant(p, tol)
     if not bracket.certified:
         raise ArithmeticError(f"c({p}) is not isolated: {bracket}")
@@ -590,8 +590,7 @@ def best_biclique_split(n: int, p: int) -> tuple[int, int]:
     """
     if n < 2:
         raise ValueError(f"need n >= 2 to split, got {n}")
-    if p < 1:
-        raise ValueError(f"exponent p must be >= 1, got {p}")
+    _check_p(p)
 
     def g(b: int) -> int:
         return b * (n - b) ** p + (n - b) * b ** p

@@ -39,7 +39,7 @@ from .constructions import (
     degree_profile,
     ep_turan2_closed_form,
 )
-from .graphs import contains_cycle, degree_sequence
+from .graphs import _check_p, contains_cycle, degree_sequence
 
 
 def _s(x) -> str:
@@ -48,11 +48,6 @@ def _s(x) -> str:
 
 def _report(claim: str, p: int, params: dict, passed: bool, witness: dict) -> dict:
     return {"claim": claim, "p": p, "params": params, "pass": bool(passed), "witness": witness}
-
-
-def _check_p(p: int) -> None:
-    if not isinstance(p, int) or p < 1:
-        raise ValueError(f"exponent p must be an integer >= 1, got {p}")
 
 
 def claim_turan_closed_form(*, p: int = 2, n: Optional[int] = None) -> dict:
@@ -295,9 +290,9 @@ CLAIMS: dict[str, Callable[..., dict]] = {
 
 
 def run_claim(claim_id: str, **params) -> dict:
-    """Dispatch one claim by id, the one place that checks the exponent.
-    Unknown ids, foreign parameters and an exponent below 1 raise
-    ValueError so the CLI can map them to a usage error."""
+    """Dispatch one claim by id.  Unknown ids, foreign parameters and an
+    exponent that is not an integer >= 1 raise ValueError so the CLI can
+    map them to a usage error."""
     try:
         fn = CLAIMS[claim_id]
     except KeyError:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass
 from typing import Iterable, Sequence, Union
 
-from .graphs import MAX_ORDER, CapacityError, SmallGraph, from_edges
+from .graphs import MAX_ORDER, CapacityError, SmallGraph, _check_p, from_edges
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,8 +39,7 @@ class DegreeProfile:
 
     def power_sum(self, p: int) -> int:
         """e_p of any graph realizing this profile, without building it."""
-        if p < 1:
-            raise ValueError(f"exponent p must be >= 1, got {p}")
+        _check_p(p)
         return sum(c * d ** p for c, d in self.pairs)
 
     def counter(self) -> dict[int, int]:
@@ -255,8 +254,7 @@ def ep_turan2_closed_form(n: int, p: int) -> int:
     """
     if n < 0:
         raise ValueError(f"order must be non-negative, got {n}")
-    if p < 1:
-        raise ValueError(f"exponent p must be >= 1, got {p}")
+    _check_p(p)
     lo, hi = n // 2, n - n // 2
     return lo * hi ** p + hi * lo ** p
 

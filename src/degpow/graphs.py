@@ -93,10 +93,15 @@ def induced_subgraph(g: SmallGraph, vertices: Iterable[int]) -> SmallGraph:
     return SmallGraph(len(order), tuple(rows))
 
 
+def _check_p(p: int) -> None:
+    """The one rule for an exponent: an integer >= 1."""
+    if not isinstance(p, int) or p < 1:
+        raise ValueError(f"exponent p must be an integer >= 1, got {p}")
+
+
 def degree_power_sum(degrees: Iterable[int], p: int) -> int:
     """Sum of d**p over a degree sequence.  Exact (Python ints), p >= 1."""
-    if p < 1:
-        raise ValueError(f"exponent p must be >= 1, got {p}")
+    _check_p(p)
     return sum(d ** p for d in degrees)
 
 

@@ -50,10 +50,8 @@ of the last vertex by popcount, and lists only the picks large enough to
 reach some exponent's best e_p so far; a sweep lists every pick.  One
 loop, _check_picks, joins the last vertex in place to each listed pick:
 the search reads the leaf's e_p off its degrees, and a sweep checks the
-leaf and counts the violations it shows, weighted like the graphs.
-Violations name labeled graphs, so a sweep that counts any, up to
-MAX_LISTED_VIOLATIONS, lists them with the labeled reference, _run_tree,
-which must find exactly as many.  Everything runs in one process.
+leaf and keeps each violation it shows with the labeled violations it
+stands for, weighted like the graphs.  Everything runs in one process.
 """
 
 from __future__ import annotations
@@ -69,6 +67,7 @@ from .graphs import (
     CapacityError,
     SmallGraph,
     _canonical_columns,
+    _check_p,
     _has_c5_through_edge,
     _smaller_twins,
     canonical_relabel,
@@ -83,9 +82,6 @@ from .graphs import (
 # 13 min at n = 9, and the validator sweeps check every leaf, so they keep 9
 MAX_SEARCH_ORDER = 11
 MAX_LABELED_ORDER = 9
-# a sweep that counts more violations than this raises instead of listing
-# them: a fault at n = 9 could name hundreds of millions of labeled graphs
-MAX_LISTED_VIOLATIONS = 100_000
 
 # one predicate, two readings: on an existing edge it finds a 5-cycle through
 # it; on a missing edge it answers whether adding the edge would close one
@@ -615,8 +611,7 @@ def search_extremal(
     if not ps:
         raise ValueError("need at least one exponent p")
     for p in ps:
-        if p < 1:
-            raise ValueError(f"exponent p must be >= 1, got {p}")
+        _check_p(p)
 
     tables = [(p, [d ** p for d in range(n + 1)]) for p in ps]
     best = dict.fromkeys(ps, 0)
@@ -1058,47 +1053,37 @@ def _sweep(n: int, check, force: bool) -> SweepResult:
     (graph, hub) pairs it tested, at each leaf below the graphs of
     _walk_classes (_check_picks), weighted by the labeled graphs each
     stands for.  Every check is invariant under relabeling, so `graphs`,
-    `pairs_checked` and the number of violations are exact labeled counts.
+    `pairs_checked` and the violation counts are exact labeled counts.
 
-    Violations name labeled graphs, so when the class walk counts any, the
-    labeled reference, _run_tree, runs check at every leaf again and lists
-    them in its order.  That walk shares no step with the class walk and
-    must list exactly as many violations as the class walk counted.  Past
-    MAX_LISTED_VIOLATIONS counted violations the sweep lists none: it
-    raises RuntimeError with the count and n before the labeled walk.
+    Each distinct message a walked leaf shows is listed once, in walk
+    order, as "<message> x<count>": count sums the weight of the leaf once
+    per showing, so it is the number of labeled violations the message
+    stands for, and the counts add up to the labeled total.  A message
+    names the walked leaf, so isomorphic leaves under different
+    representatives are listed apart.
     """
     _check_search_order(n, force)
+    counts: dict[str, int] = {}
     violations: list[str] = []
-    graphs = pairs = expected = 0
+    graphs = pairs = 0
     for rows, deg, mask, weight, _ in _walk_classes(n, _twin_picks):
         leaves, tested = _check_picks(check, n, rows, deg, mask, violations)
         graphs += weight * leaves
         pairs += weight * tested
-        expected += weight * len(violations)
+        for message in violations:
+            counts[message] = counts.get(message, 0) + weight
         violations.clear()
-    if expected > MAX_LISTED_VIOLATIONS:
-        raise RuntimeError(
-            f"the class walk counted {expected} violations at n={n}, "
-            f"more than the {MAX_LISTED_VIOLATIONS} a sweep lists"
-        )
-    if expected:
-        _run_tree(n, lambda rows: check(rows, [row.bit_count() for row in rows], n, violations))
-        if len(violations) != expected:
-            raise RuntimeError(
-                f"the labeled walk listed {len(violations)} violations at n={n}, "
-                f"the class walk counted {expected}"
-            )
-    return SweepResult(n=n, graphs=graphs, pairs_checked=pairs, violations=tuple(violations))
+    listed = tuple(f"{message} x{count}" for message, count in counts.items())
+    return SweepResult(n=n, graphs=graphs, pairs_checked=pairs, violations=listed)
 
 
 def sweep_neighborhood_validity(n: int, *, force: bool = False) -> SweepResult:
     """Check the no-P4 neighborhood condition for every (C5-free g, u).
 
     A 4-vertex path needs four vertices, so only hubs of degree >= 4 can
-    fail; everything else is valid by counting.  Violating graphs come back
-    as graph6 strings (the expected result is none).  Past
-    MAX_LISTED_VIOLATIONS of them the sweep raises RuntimeError with their
-    count instead of listing them.
+    fail; everything else is valid by counting.  Each violation comes back
+    as graph6 and hub with its labeled count (see _sweep); the expected
+    result is none.
     """
     return _sweep(n, _check_validity, force)
 
@@ -1106,9 +1091,8 @@ def sweep_neighborhood_validity(n: int, *, force: bool = False) -> SweepResult:
 def sweep_observations(n: int, *, force: bool = False) -> SweepResult:
     """Run the attachment observations over every C5-free graph on n vertices
     and every max-degree hub whose neighborhood contains an edge.  Each
-    failure comes back as graph6, hub and message; past
-    MAX_LISTED_VIOLATIONS of them the sweep raises RuntimeError with their
-    count instead of listing them."""
+    failure comes back as graph6, hub and message with its labeled count
+    (see _sweep)."""
     return _sweep(n, _check_observations, force)
 
 
@@ -1121,7 +1105,6 @@ def sweep_bipartite_completion(n: int, *, force: bool = False) -> SweepResult:
     of u has all its neighbours among the n - dmax vertices outside N(u),
     which completing at u joins it to, and every other vertex ends at dmax,
     which no degree exceeds.  A clean run is therefore no evidence for the
-    paper's observations.  Like the other sweeps it would raise RuntimeError
-    past MAX_LISTED_VIOLATIONS violations, a count it cannot reach.
+    paper's observations.
     """
     return _sweep(n, _check_completion, force)

@@ -492,6 +492,10 @@ def test_optimize_c_validation():
         optimize_c(2, tol=0)
     with pytest.raises(ValueError):
         optimize_c(2, tol=0.5)
+    # below 2^-52 the float midpoint cannot be within tol / 2 of c(p)
+    assert optimize_c(4, tol=2.0 ** -52) == split_constant(4, 2.0 ** -52).midpoint
+    with pytest.raises(ValueError, match="tol must be >= 2\\^-52"):
+        optimize_c(4, tol=1e-20)
 
 
 def test_split_objective_symmetry():

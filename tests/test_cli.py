@@ -244,6 +244,12 @@ def test_optimize_c_rejects_bad_range(capsys):
     assert run_cli(capsys, "optimize-c", "--p", "two")[0] == 2
 
 
+def test_optimize_c_rejects_a_tol_below_the_float_floor(capsys):
+    code, out, err = run_cli(capsys, "optimize-c", "--p", "4", "--tol", "1e-20")
+    assert (code, out) == (2, "")
+    assert "tol must be >= 2^-52" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -5,11 +5,13 @@ detector is cross-checked against a structure-free oracle or networkx."""
 import gc
 import random
 import time
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import networkx as nx
 import pytest
 
+from degpow import asymptotics, claims, constructions, search
 from degpow.graphs import (
     MAX_ORDER,
     CapacityError,
@@ -93,6 +95,29 @@ def test_degree_power_sum_exact_big_integers():
     assert degree_power_sum(degrees, 1) == sum(degrees)
     with pytest.raises(ValueError):
         degree_power_sum(degrees, 0)
+
+
+_KBIP = asymptotics.family_of("kbip", a="3/5")
+EXPONENT_ENTRIES = {
+    "degree_power_sum": lambda p: degree_power_sum([1, 2], p),
+    "DegreeProfile.power_sum": lambda p: constructions.DegreeProfile(((2, 1),)).power_sum(p),
+    "ep_turan2_closed_form": lambda p: constructions.ep_turan2_closed_form(6, p),
+    "ParametricFamily.power_sum_at": lambda p: _KBIP.power_sum_at(10, p),
+    "expand_ep": lambda p: asymptotics.expand_ep(_KBIP, p),
+    "f_value": lambda p: asymptotics.f_value(Fraction(3, 5), Fraction(1, 5), p),
+    "verify_f_positive": lambda p: asymptotics.verify_f_positive(p, Fraction(1, 4)),
+    "split_constant": lambda p: asymptotics.split_constant(p),
+    "best_biclique_split": lambda p: asymptotics.best_biclique_split(10, p),
+    "search_extremal": lambda p: search.search_extremal(5, [p]),
+    "run_claim": lambda p: claims.run_claim("turan-closed-form", p=p),
+}
+
+
+@pytest.mark.parametrize("p", [0, -1, 2.0, 2.5])
+@pytest.mark.parametrize("entry", sorted(EXPONENT_ENTRIES))
+def test_every_exponent_entry_takes_only_an_integer_of_at_least_one(entry, p):
+    with pytest.raises(ValueError, match=f"exponent p must be an integer >= 1, got {p}$"):
+        EXPONENT_ENTRIES[entry](p)
 
 
 def test_induced_subgraph():

@@ -1526,11 +1526,43 @@ def test_sweep_counts_at_order_seven():
     assert {r.graphs for r in results} == {316453}
 
 
+def test_sweep_counts_at_order_eight():
+    # the labeled walk's counts at n = 8, so the class walk meets them on
+    # every run, not only when it finds a violation
+    results = [sweep_fn(8) for sweep_fn in SWEEPS]
+    assert [r.pairs_checked for r in results] == [8857640, 9498384, 6250056]
+    assert {r.graphs for r in results} == {9369687}
+    assert all(r.violations == () for r in results)
+
+
 def _labeled_reference(n, violations_of):
-    """Violations listed by a full labeled walk, in its visiting order."""
-    found = []
-    enumerate_c5_free(n, lambda rows: found.extend(violations_of(SmallGraph(n, tuple(rows)))))
-    return found
+    """The violations of a full labeled walk, counted per isomorphism class."""
+    totals = {}
+
+    def leaf(rows):
+        g = SmallGraph(n, tuple(rows))
+        found = len(violations_of(g))
+        if found:
+            cert = canonical_form(g)
+            totals[cert] = totals.get(cert, 0) + found
+
+    enumerate_c5_free(n, leaf)
+    return totals
+
+
+def _listed_counts(violations):
+    """A sweep's "<graph6>[ <hub> ...] x<count>" entries, counted per
+    isomorphism class of the graph they name."""
+    totals = {}
+    for entry in violations:
+        message, count = entry.rsplit(" x", 1)
+        cert = canonical_form(from_graph6(message.split(" ", 1)[0]))
+        totals[cert] = totals.get(cert, 0) + int(count)
+    return totals
+
+
+def _listed_total(violations):
+    return sum(int(entry.rsplit(" x", 1)[1]) for entry in violations)
 
 
 def _never_a_star(rows, comp, size):
@@ -1573,77 +1605,18 @@ def _dominating_hub_violations(g):
     ]
 
 
-def test_validity_violations_list_every_labeled_graph(monkeypatch):
-    clean = sweep_neighborhood_validity(6)
-    monkeypatch.setattr(search, "_is_star", _never_a_star)
-    swept = sweep_neighborhood_validity(6)
-    expected = _labeled_reference(6, _non_star_violations)
-    assert len(expected) > 100
-    assert swept.violations == tuple(expected)
-    assert (swept.graphs, swept.pairs_checked) == (clean.graphs, clean.pairs_checked)
+def _flag_every_leaf(check):
+    def flagged(rows, deg, order, violations):
+        violations.append(to_graph6(SmallGraph(order, tuple(rows))))
+        return check(rows, deg, order, violations)
+
+    return flagged
 
 
-def test_observation_violations_list_every_labeled_graph(monkeypatch):
-    clean = sweep_observations(6)
-    monkeypatch.setattr(search, "_validate_observation_rows", _every_hub_fails)
-    swept = sweep_observations(6)
-    expected = _labeled_reference(6, _every_hub_violations)
-    assert len(expected) == clean.pairs_checked
-    assert swept.violations == tuple(expected)
-    assert (swept.graphs, swept.pairs_checked) == (clean.graphs, clean.pairs_checked)
-
-
-def test_a_sweep_past_the_listing_limit_raises_with_the_count(monkeypatch):
-    # with every hub failing, the count is the clean sweep's pairs_checked
-    clean = sweep_observations(6)
-    expected = tuple(_labeled_reference(6, _every_hub_violations))
-    assert len(expected) == clean.pairs_checked
-    monkeypatch.setattr(search, "_validate_observation_rows", _every_hub_fails)
-
-    def no_labeled_walk(n, leaf):
-        raise AssertionError("the labeled walk ran past the listing limit")
-
-    with monkeypatch.context() as patched:
-        patched.setattr(search, "MAX_LISTED_VIOLATIONS", clean.pairs_checked - 1)
-        patched.setattr(search, "_run_tree", no_labeled_walk)
-        with pytest.raises(RuntimeError, match=f"counted {clean.pairs_checked} violations at n=6,"):
-            sweep_observations(6)
-    monkeypatch.setattr(search, "MAX_LISTED_VIOLATIONS", clean.pairs_checked)
-    assert sweep_observations(6).violations == expected
-
-
-def test_violations_keep_the_labeled_order_past_four_prefix_vertices(monkeypatch):
-    # at n = 7 the prefixes have k = 5 vertices; only graphs with a
-    # dominating hub fail, so some prefix classes are dirty and some clean
-    n = 7
-    expected = _labeled_reference(n, _dominating_hub_violations)
-    clean = sweep_observations(n)
-    stats = SearchStats()
-    _prefix_orbits(n - 2, stats)
-    monkeypatch.setattr(search, "_validate_observation_rows", _dominating_hubs_fail)
-    canonical_columns = search._canonical_columns
-    keyed = 0
-
-    def counted(rows, k):
-        nonlocal keyed
-        keyed += 1
-        return canonical_columns(rows, k)
-
-    monkeypatch.setattr(search, "_canonical_columns", counted)
-    swept = sweep_observations(n)
-    # the violations are listed by the edge-decision walk, which keys no
-    # prefix: only the class growth labels graphs, as in a clean sweep
-    assert keyed == stats.canonical_keyings > 0
-    assert 100 < len(expected) < clean.pairs_checked
-    assert swept.violations == tuple(expected)
-    assert (swept.graphs, swept.pairs_checked) == (clean.graphs, clean.pairs_checked)
-
-
-def test_dirty_pass_keeps_the_labeled_order_at_every_small_order(monkeypatch):
-    # below n = 3 the prefixes are empty (k = 0).  A check that flags every
-    # leaf makes the labeled walk list every leaf, and on top of each real
-    # check it leaves the counts alone; it is also what lists the completion
-    # sweep's violations in order
+def test_sweep_violation_counts_are_the_labeled_counts_class_by_class(monkeypatch):
+    # below n = 3 the prefixes are empty (k = 0).  Each stub fails some
+    # hubs, and a check that flags every leaf on top of a real one flags
+    # each class once per labeled member and leaves the sweep's counts alone
     checks = (
         (search._check_validity, sweep_neighborhood_validity),
         (search._check_observations, sweep_observations),
@@ -1657,15 +1630,10 @@ def test_dirty_pass_keeps_the_labeled_order_at_every_small_order(monkeypatch):
     )
     for n in range(0, 7):
         clean = {sweep_fn: sweep_fn(n) for _, sweep_fn in checks}
-        every_leaf = tuple(_labeled_reference(n, lambda g: [to_graph6(g)]))
+        every_leaf = _labeled_reference(n, lambda g: [to_graph6(g)])
         for check, sweep_fn in checks:
-
-            def flagged(rows, deg, order, violations, check=check):
-                violations.append(to_graph6(SmallGraph(order, tuple(rows))))
-                return check(rows, deg, order, violations)
-
-            swept = search._sweep(n, flagged, False)
-            assert swept.violations == every_leaf, (sweep_fn.__name__, n)
+            swept = search._sweep(n, _flag_every_leaf(check), False)
+            assert _listed_counts(swept.violations) == every_leaf, (sweep_fn.__name__, n)
             assert (swept.graphs, swept.pairs_checked) == (
                 clean[sweep_fn].graphs, clean[sweep_fn].pairs_checked
             ), (sweep_fn.__name__, n)
@@ -1673,20 +1641,40 @@ def test_dirty_pass_keeps_the_labeled_order_at_every_small_order(monkeypatch):
             with monkeypatch.context() as patched:
                 patched.setattr(search, name, stub)
                 swept = sweep_fn(n)
-            assert swept.violations == tuple(_labeled_reference(n, violations_of)), (name, n)
+            expected = _labeled_reference(n, violations_of)
+            assert expected or n < 6, (name, n)
+            assert _listed_counts(swept.violations) == expected, (name, n)
             assert (swept.graphs, swept.pairs_checked) == (
                 clean[sweep_fn].graphs, clean[sweep_fn].pairs_checked
             ), (name, n)
 
 
-def test_a_check_that_is_not_relabeling_invariant_trips_the_count():
+def test_stubbed_sweeps_at_order_eight_list_by_the_class_walk(monkeypatch):
+    def no_labeled_walk(n, leaf):
+        raise AssertionError("a sweep ran the labeled walk")
+
+    monkeypatch.setattr(search, "_run_tree", no_labeled_walk)
+    monkeypatch.setattr(search, "_validate_observation_rows", _dominating_hubs_fail)
+    swept = sweep_observations(8)
+    assert len(swept.violations) == 497
+    assert _listed_total(swept.violations) == 33040
+    # failing every hub fails each (graph, hub) pair the clean sweep checks
+    monkeypatch.setattr(search, "_validate_observation_rows", _every_hub_fails)
+    swept = sweep_observations(8)
+    assert _listed_total(swept.violations) == 9498384
+    assert swept.pairs_checked == 9498384
+
+
+def test_a_check_that_is_not_relabeling_invariant_counts_its_walked_leaves():
     # flagging the graphs that hold the edge 0-1 depends on the labels: the
-    # class walk weighs the flags of its representatives, and the labeled
-    # walk lists a different number, which the sweep refuses to return
+    # class walk weighs the flags of the leaves it walks, which differ from
+    # those of the labeled walk
     def edge_01(rows, deg, order, violations):
         if rows[0] & 2:
             violations.append(to_graph6(SmallGraph(order, tuple(rows))))
         return 0
 
-    with pytest.raises(RuntimeError, match="listed 361 violations at n=5, the class walk counted 69"):
-        search._sweep(5, edge_01, False)
+    swept = search._sweep(5, edge_01, False)
+    assert _listed_total(swept.violations) == 69
+    labeled = _labeled_reference(5, lambda g: [g] if g.has_edge(0, 1) else [])
+    assert sum(labeled.values()) == 361
