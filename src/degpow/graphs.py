@@ -94,8 +94,8 @@ def induced_subgraph(g: SmallGraph, vertices: Iterable[int]) -> SmallGraph:
 
 
 def _check_p(p: int) -> None:
-    """The one rule for an exponent: an integer >= 1."""
-    if not isinstance(p, int) or p < 1:
+    """The one rule for an exponent: an integer >= 1, and not a bool."""
+    if isinstance(p, bool) or not isinstance(p, int) or p < 1:
         raise ValueError(f"exponent p must be an integer >= 1, got {p}")
 
 

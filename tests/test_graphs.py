@@ -113,7 +113,7 @@ EXPONENT_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("p", [0, -1, 2.0, 2.5])
+@pytest.mark.parametrize("p", [0, -1, True, False, 2.0, 2.5])
 @pytest.mark.parametrize("entry", sorted(EXPONENT_ENTRIES))
 def test_every_exponent_entry_takes_only_an_integer_of_at_least_one(entry, p):
     with pytest.raises(ValueError, match=f"exponent p must be an integer >= 1, got {p}$"):

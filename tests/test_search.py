@@ -350,6 +350,23 @@ def test_search_input_validation():
         ex_p(-1, 2)
 
 
+ORDER_ENTRIES = {
+    "search_extremal": lambda n: search_extremal(n, [2]),
+    "classification_report": lambda n: search.classification_report([n], [2]),
+    "enumerate_c5_free": enumerate_c5_free,
+    "sweep_neighborhood_validity": sweep_neighborhood_validity,
+    "sweep_observations": sweep_observations,
+    "sweep_bipartite_completion": sweep_bipartite_completion,
+}
+
+
+@pytest.mark.parametrize("n", [-1, True, False, 8.0])
+@pytest.mark.parametrize("entry", sorted(ORDER_ENTRIES))
+def test_every_order_entry_takes_only_an_integer_of_at_least_zero(entry, n):
+    with pytest.raises(ValueError, match=f"order must be an integer >= 0, got {n}$"):
+        ORDER_ENTRIES[entry](n)
+
+
 def test_trivial_orders():
     empty = ex_p(0, 2)
     assert (empty.value, empty.visited) == (0, 1)
@@ -1467,40 +1484,6 @@ def test_leaf_checks_match_their_references_on_random_graphs():
     assert all(seen.values()), seen
 
 
-class _ReadLog(list):
-    """A list that logs the positions read by index."""
-
-    def __init__(self, values):
-        super().__init__(values)
-        self.read = []
-
-    def __getitem__(self, i):
-        self.read.append(i)
-        return super().__getitem__(i)
-
-
-def test_completion_reads_a_degree_only_where_one_could_drop():
-    # completing at u takes a neighbour of u to degree n - dmax, so no
-    # degree can drop when 2 dmax <= n; otherwise the check reads the
-    # degrees of N(u), in order, at each hub with an independent N(u)
-    scanned = 0
-    for n in range(0, 7):
-        for g in all_graphs(n):
-            rows = g.rows
-            degrees = [row.bit_count() for row in rows]
-            dmax = max(degrees, default=0)
-            expected = []
-            if 2 * dmax > n:
-                for u in range(n):
-                    if degrees[u] == dmax and not _has_edge_among(rows, rows[u]):
-                        expected += [v for v in range(n) if (rows[u] >> v) & 1]
-            deg = _ReadLog(degrees)
-            search._check_completion(rows, deg, n, [])
-            assert deg.read == expected, rows
-            scanned += bool(expected)
-    assert scanned == 633
-
-
 SWEEPS = (sweep_neighborhood_validity, sweep_observations, sweep_bipartite_completion)
 
 
@@ -1517,6 +1500,27 @@ def test_sweeps_clean_at_order_six():
         assert result.graphs == 13922
         assert result.violations == ()
         assert result.pairs_checked > 0
+
+
+def test_observation_and_completion_sweeps_split_the_max_degree_hubs():
+    # a max-degree hub of a graph with an edge has a neighbourhood that
+    # either holds an edge (observations) or is independent (completion)
+    hubs = []
+    for n in range(0, 8):
+        total = 0
+
+        def count(rows):
+            nonlocal total
+            degrees = [row.bit_count() for row in rows]
+            dmax = max(degrees, default=0)
+            if dmax:
+                total += degrees.count(dmax)
+
+        enumerate_c5_free(n, count)
+        split = sweep_observations(n).pairs_checked + sweep_bipartite_completion(n).pairs_checked
+        assert split == total, n
+        hubs.append(total)
+    assert hubs == [0, 0, 2, 12, 116, 1370, 23376, 520695]
 
 
 def test_sweep_counts_at_order_seven():
